@@ -118,7 +118,6 @@ def test_journal_overhead_trajectory(tmp_path, monkeypatch):
     # The run cache would let the second sweep replay the first one's
     # results and fake a near-zero wall time; measure uncached.
     monkeypatch.delenv("REPRO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
     scale, spec_text = _workload()
     spec = parse_campaign(spec_text)
     cells = expand_cells(spec)

@@ -110,8 +110,6 @@ import time
 from datetime import datetime, timezone
 
 from repro.experiments.scenarios import PROTOCOL_80211
-from repro.sim.batch import batchable, run_scenario_batch
-from repro.sim.vecrng import HAVE_NUMPY
 
 TRAJECTORY_PATH = pathlib.Path(__file__).parent / "BENCH_engine.json"
 #: Keep the trajectory bounded; old entries age out.
@@ -177,20 +175,6 @@ def test_events_per_sec_trajectory():
         "scalar": {"wall_s": round(scalar_wall, 3),
                    "events_per_sec": round(events / scalar_wall)},
     }
-
-    if HAVE_NUMPY and all(batchable(c) for c in configs):
-        groups = {}
-        for config in configs:
-            key = (config.protocol, config.duration_us,
-                   id(config.topology))
-            groups.setdefault(key, []).append(config)
-        start = time.perf_counter()
-        batched = [r for group in groups.values()
-                   for r in run_scenario_batch(group)]
-        batch_wall = time.perf_counter() - start
-        assert _signature(batched) == signature  # bit-identity, every run
-        record["batch"] = {"wall_s": round(batch_wall, 3),
-                           "events_per_sec": round(events / batch_wall)}
 
     data = _load_trajectory()
     baseline = data["baselines"].get(scale)

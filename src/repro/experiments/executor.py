@@ -60,7 +60,6 @@ from repro.experiments.cache import (
 )
 from repro.experiments.scenarios import RunResult, ScenarioConfig, run_scenario
 from repro.experiments.settings import (
-    batch_runs_enabled,
     max_retries as default_max_retries,
     profile_enabled,
     run_timeout_s as default_run_timeout_s,
@@ -183,9 +182,7 @@ class ExperimentExecutor:
     ``runs_executed`` / ``cache_hits`` / ``dedup_hits`` count actual
     simulations versus avoided ones, and double as the run-count probe
     the cache tests assert on.  ``runs_retried`` / ``runs_failed`` /
-    ``pool_respawns`` count supervision interventions, and
-    ``batched_runs`` how many runs the replica-batched kernel served
-    (``REPRO_BATCH``, single-worker executors only).
+    ``pool_respawns`` count supervision interventions.
     """
 
     def __init__(
@@ -228,8 +225,6 @@ class ExperimentExecutor:
         self.runs_retried = 0
         self.runs_failed = 0
         self.pool_respawns = 0
-        #: Runs satisfied by the replica-batched kernel (REPRO_BATCH).
-        self.batched_runs = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -360,55 +355,19 @@ class ExperimentExecutor:
     ) -> List[Tuple[RunOutcome, float]]:
         """Single-worker execution of a pending batch.
 
-        With ``REPRO_BATCH`` set, same-scenario/different-seed groups
-        go through the replica-batched kernel first (bit-identical
-        results; a group that fails for any reason falls back to
-        scalar runs, which carry the retry/quarantine semantics).
-        Everything left runs scalar, with generational GC suspended
-        for the duration of the sweep — run_scenario's event churn is
-        acyclic, and collector passes over a sweep's worth of live
-        results cost a measurable slice of wall time.
+        Generational GC is suspended for the duration of the sweep —
+        run_scenario's event churn is acyclic, and collector passes
+        over a sweep's worth of live results cost a measurable slice
+        of wall time.  The caller's GC state is restored afterwards.
         """
-        results: List[Optional[Tuple[RunOutcome, float]]] = (
-            [None] * len(configs)
-        )
-        if batch_runs_enabled() and len(configs) > 1:
-            from repro.sim.batch import batchable, run_scenario_batch
-
-            groups: Dict[str, List[int]] = {}
-            for index, config in enumerate(configs):
-                if not batchable(config):
-                    continue
-                try:
-                    key = config_fingerprint(config.with_seed(0))
-                except UncacheableConfigError:
-                    continue
-                groups.setdefault(key, []).append(index)
-            for indices in groups.values():
-                if len(indices) < 2:
-                    continue
-                start = time.perf_counter()
-                try:
-                    batched = run_scenario_batch(
-                        [configs[i] for i in indices]
-                    )
-                except Exception:
-                    continue  # scalar fallback below, with retries
-                wall_each = (time.perf_counter() - start) / len(indices)
-                for index, result in zip(indices, batched):
-                    self.batched_runs += 1
-                    results[index] = (result, wall_each)
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            for index, config in enumerate(configs):
-                if results[index] is None:
-                    results[index] = self._run_inline(config)
+            return [self._run_inline(config) for config in configs]
         finally:
             if gc_was_enabled:
                 gc.enable()
                 gc.collect()
-        return results  # type: ignore[return-value]
 
     def _backoff(self, attempts: int) -> None:
         """Sleep the capped exponential backoff before retry ``attempts``."""

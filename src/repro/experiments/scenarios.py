@@ -202,8 +202,7 @@ def _make_mac(config: ScenarioConfig, sim, medium, registry, collector,
 
 
 def build_scenario(config: ScenarioConfig, profile: Optional[bool] = None,
-                   watchdog: Optional[Watchdog] = None, trace=None,
-                   vector_pool=None):
+                   watchdog: Optional[Watchdog] = None, trace=None):
     """Construct (but do not run) a scenario; returns (sim, nodes, collector).
 
     Exposed separately from :func:`run_scenario` for tests that want
@@ -224,13 +223,6 @@ def build_scenario(config: ScenarioConfig, profile: Optional[bool] = None,
     :class:`~repro.faults.FaultInjector` is built, wired into the
     medium and MACs, and left on ``sim.fault_injector`` for callers
     that want its counters.
-
-    ``vector_pool`` optionally supplies a
-    :class:`~repro.sim.vecrng.VectorStreamPool`: the ``idle/*``
-    streams are then pooled (bit-identical) ``VectorRandom`` instances
-    and the medium's vectorized marginal-edge path is enabled.  Used
-    by the replica-batched runner in :mod:`repro.sim.batch`; results
-    are bit-identical either way.
     """
     if profile is None:
         profile = profile_enabled()
@@ -245,13 +237,11 @@ def build_scenario(config: ScenarioConfig, profile: Optional[bool] = None,
     topo = config.topology
     sim = Simulator(profile=profile, watchdog=watchdog)
     sim.fault_injector = None
-    registry = RngRegistry(config.seed, vector_pool=vector_pool)
+    registry = RngRegistry(config.seed)
     medium = Medium(
         sim, ShadowingModel(), rng=registry.stream("shadowing"),
         timings=PhyTimings(),
     )
-    if vector_pool is not None:
-        medium.marginal_batch_pool = vector_pool
     if trace is not None:
         medium.trace = trace
     measured: Set[int] = {f.src for f in topo.flows if f.measured}

@@ -24,9 +24,6 @@ Beyond the scale selection this module also centralises the other
   enforced by the executor's supervision loop (unset: no timeout);
 * ``REPRO_RETRIES`` — retry budget per task for transient worker
   failures (default 2);
-* ``REPRO_BATCH`` — route same-scenario/different-seed cells of a
-  single-worker executor through the replica-batched kernel
-  (:mod:`repro.sim.batch`; results stay bit-identical);
 * ``REPRO_MAX_EVENTS`` / ``REPRO_MAX_WALL`` — kernel watchdog budgets
   (events per run / wall seconds per run); setting either arms a
   :class:`repro.sim.engine.Watchdog` inside every scenario build, so
@@ -151,18 +148,6 @@ def profile_enabled() -> bool:
 def cache_enabled() -> bool:
     """Whether ``REPRO_CACHE`` enables the on-disk run cache."""
     return env_flag("REPRO_CACHE")
-
-
-def batch_runs_enabled() -> bool:
-    """Whether ``REPRO_BATCH`` opts into replica-batched execution.
-
-    When set, a single-worker executor groups same-scenario /
-    different-seed cells through :func:`repro.sim.batch.run_scenario_batch`
-    (bit-identical results; see ``docs/PERFORMANCE.md`` for when the
-    batched kernel actually pays off).  Fault-injected or otherwise
-    non-batchable configs always fall back to scalar runs.
-    """
-    return env_flag("REPRO_BATCH")
 
 
 def _env_number(name: str, cast, minimum):

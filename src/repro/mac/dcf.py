@@ -254,40 +254,6 @@ class DcfMac:
             if timer.active:
                 timer._freeze()
 
-    def on_channel_busy_batch(self, fast) -> None:
-        """Batch-mode :meth:`on_channel_busy`.
-
-        Same fused edge handling, but the catch-up binomial deficit
-        (idle slots accrued since the cursor, sampled at the *old*
-        marginal probability) is appended to ``fast`` for the medium's
-        per-edge vectorized draw instead of being drawn inline.  As in
-        :meth:`on_marginal_change_batch`, only the cumulative ``_slots``
-        update moves; word consumption per stream is unchanged.
-        """
-        now = self.sim.now
-        ic = self.idle_counter
-        ic._last_now = now
-        if not ic._strong:
-            cursor = ic._cursor
-            if now > cursor:
-                whole = (now - cursor) // ic.slot_us
-                if whole > 0:
-                    p = ic._marginal_p
-                    if p <= 0.0:
-                        ic._slots += whole
-                    elif p < 1.0:
-                        if whole <= 32:
-                            fast.append((ic, whole, p))
-                        else:
-                            ic._slots += whole - binomial(ic.rng, whole, p)
-            ic._strong = True
-        ic._cursor = now
-        timer = self.timer
-        if not timer.blocked:
-            timer.blocked = True
-            if timer.active:
-                timer._freeze()
-
     def on_channel_idle(self) -> None:
         # The counter's deference mirrors what a conforming sender's
         # backoff logic will do next: EIFS after a reception error,
@@ -340,48 +306,6 @@ class DcfMac:
                         ic._slots += whole
                     elif op < 1.0:
                         ic._slots += whole - binomial(ic.rng, whole, op)
-                    ic._cursor = cursor + whole * ic.slot_us
-        elif now > cursor:
-            ic._cursor = now
-        ic._last_now = now
-        ic._marginal_p = p
-        timer = self.timer
-        if timer.active and timer._state == "counting":
-            timer.marginal_changed()
-
-    def on_marginal_change_batch(self, fast) -> None:
-        """Batch-mode :meth:`on_marginal_change`.
-
-        Identical bookkeeping and timer handling, except that small-n
-        binomial deficits are appended to ``fast`` (as ``(counter, n,
-        p)``) so the medium can sample the whole transmission edge in
-        one vectorized pool draw.  Only the deferred ``_slots`` update
-        is reordered — nothing reads the cumulative count before the
-        edge resolves, and per-stream word consumption is unchanged.
-        """
-        state = self._mstate
-        if state is None:
-            state = self._mstate = self.medium._states[self.node_id]
-        product = 1.0
-        for q in state.marginal.values():
-            product *= 1.0 - q
-        p = 1.0 - product
-        self._p_busy = p
-        now = self.sim.now
-        ic = self.idle_counter
-        cursor = ic._cursor
-        if not ic._strong:
-            if now > cursor:
-                whole = (now - cursor) // ic.slot_us
-                if whole > 0:
-                    op = ic._marginal_p
-                    if op <= 0.0:
-                        ic._slots += whole
-                    elif op < 1.0:
-                        if whole <= 32:
-                            fast.append((ic, whole, op))
-                        else:
-                            ic._slots += whole - binomial(ic.rng, whole, op)
                     ic._cursor = cursor + whole * ic.slot_us
         elif now > cursor:
             ic._cursor = now

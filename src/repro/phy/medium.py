@@ -131,13 +131,6 @@ class Medium:
         #: Capture probabilities keyed (src, interferer, listener):
         #: pure geometry, so cacheable until a node moves.
         self._capture_cache: Dict[Tuple[int, int, int], float] = {}
-        #: Batch fast path (:mod:`repro.sim.batch`): when set to a
-        #: :class:`~repro.sim.vecrng.VectorStreamPool`, marginal-edge
-        #: idle-slot draws are deferred per transmission edge and
-        #: sampled in one vectorized pool operation.  Requires every
-        #: listener to implement ``on_marginal_change_batch`` (the real
-        #: MACs do) and the ``idle/*`` streams to live in this pool.
-        self.marginal_batch_pool = None
         #: Bumped whenever node geometry changes (register / move); a
         #: transmission whose frozen view predates the current version
         #: falls back to live link lookups for delivery.
@@ -304,28 +297,14 @@ class Medium:
     def _notify_start(self, tx: Transmission) -> None:
         tx.view = view = self._source_view(tx.src)
         marginal_key = id(tx)
-        # ``fast`` collects deferred (counter, n, p) binomial deficits
-        # for one vectorized draw after the listener sweep; everything
-        # else (bookkeeping, timer resegmentation) happens per listener
-        # in the exact scalar order, so event sequencing and per-stream
-        # draw sequences are unchanged.
-        fast = [] if self.marginal_batch_pool is not None else None
         for state, is_strong, p_sense in view[1]:
             if is_strong:
                 state.strong_count += 1
                 if state.strong_count == 1:
-                    if fast is None:
-                        state.listener.on_channel_busy()
-                    else:
-                        state.listener.on_channel_busy_batch(fast)
-            elif fast is None:
-                state.marginal[marginal_key] = p_sense
-                state.listener.on_marginal_change()
+                    state.listener.on_channel_busy()
             else:
                 state.marginal[marginal_key] = p_sense
-                state.listener.on_marginal_change_batch(fast)
-        if fast:
-            self._apply_marginal_deficits(fast)
+                state.listener.on_marginal_change()
 
     def _finish_transmission(self, tx: Transmission) -> None:
         self._active.remove(tx)
@@ -334,28 +313,14 @@ class Medium:
         # MAC's deference logic needs them when the channel goes idle.
         self._deliver(tx)
         marginal_key = id(tx)
-        fast = [] if self.marginal_batch_pool is not None else None
         for state, is_strong, _ in tx.view[1]:
             if is_strong:
                 state.strong_count -= 1
                 if state.strong_count == 0:
                     state.listener.on_channel_idle()
-            elif fast is None:
-                state.marginal.pop(marginal_key, None)
-                state.listener.on_marginal_change()
             else:
                 state.marginal.pop(marginal_key, None)
-                state.listener.on_marginal_change_batch(fast)
-        if fast:
-            self._apply_marginal_deficits(fast)
-
-    def _apply_marginal_deficits(self, fast) -> None:
-        """Resolve deferred idle-slot deficits in one pool operation."""
-        deficits = self.marginal_batch_pool.bernoulli_deficits(
-            [(counter.rng, n, p) for counter, n, p in fast]
-        )
-        for (counter, _, _), deficit in zip(fast, deficits):
-            counter._slots += int(deficit)
+                state.listener.on_marginal_change()
 
     # ------------------------------------------------------------------
     # Jamming (driven by repro.faults.FaultInjector)

@@ -31,18 +31,9 @@ class RngRegistry:
         out identical streams for identical names.
     """
 
-    def __init__(self, master_seed: int, vector_pool=None,
-                 vector_prefixes: Iterable[str] = ("idle/",)):
+    def __init__(self, master_seed: int):
         self.master_seed = int(master_seed)
         self._streams: Dict[str, random.Random] = {}
-        #: Optional :class:`repro.sim.vecrng.VectorStreamPool`.  When
-        #: set, streams whose names match ``vector_prefixes`` are
-        #: handed out as pooled (bit-identical) ``VectorRandom``
-        #: instances so bulk draws can be vectorized across streams.
-        self._vector_pool = vector_pool
-        self._vector_prefixes = (
-            tuple(vector_prefixes) if vector_pool is not None else ()
-        )
 
     def derive_seed(self, name: str) -> int:
         """Return the 64-bit seed assigned to stream ``name``."""
@@ -55,12 +46,7 @@ class RngRegistry:
         """Return (creating on first use) the stream called ``name``."""
         stream = self._streams.get(name)
         if stream is None:
-            seed = self.derive_seed(name)
-            if self._vector_prefixes and name.startswith(self._vector_prefixes):
-                from repro.sim.vecrng import VectorRandom
-                stream = VectorRandom(seed, pool=self._vector_pool)
-            else:
-                stream = random.Random(seed)
+            stream = random.Random(self.derive_seed(name))
             self._streams[name] = stream
         return stream
 
@@ -120,12 +106,7 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
         return max(0, min(n, round(sample)))
     if n <= 32:
         # Bernoulli sum; a plain loop beats the equivalent genexpr by
-        # ~2x and draws the exact same stream.  Pooled streams provide
-        # an inlined loop over their buffered words (same draws, no
-        # Python-level ``random()`` call per slot).
-        fast = getattr(rng, "_bernoulli_count", None)
-        if fast is not None:
-            return fast(n, p)
+        # ~2x and draws the exact same stream.
         draw = rng.random
         count = 0
         for _ in range(n):
@@ -138,9 +119,6 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
     log_q = math.log(1.0 - p)
     if log_q == 0.0:  # p below float resolution of (1 - p)
         return 0
-    fast = getattr(rng, "_binomial_inversion", None)
-    if fast is not None:
-        return fast(n, log_q)
     while True:
         u = rng.random()
         gap = int(math.log(u) / log_q) if u > 0.0 else n

@@ -34,9 +34,8 @@ DEADLINE_S = 180.0
 def campaign_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    # keep runs pure: no cross-run cache, no replica batching
+    # keep runs pure: no cross-run cache
     env.pop("REPRO_CACHE", None)
-    env.pop("REPRO_BATCH", None)
     return env
 
 

@@ -7,10 +7,12 @@ run-count probes, and the profiling hooks' no-perturbation guarantee.
 """
 
 import dataclasses
+import gc
 import os
 
 import pytest
 
+from repro.core.sender_policy import ConformingPolicy
 from repro.experiments import cache as cache_mod
 from repro.experiments.cache import (
     RunCache,
@@ -20,6 +22,7 @@ from repro.experiments.cache import (
 )
 from repro.experiments.executor import (
     ExperimentExecutor,
+    FailedRun,
     TaskBatch,
     default_workers,
 )
@@ -223,6 +226,42 @@ class TestExecutor:
         handle = batch.add([config()])
         with pytest.raises(RuntimeError):
             handle.results
+
+
+class TestGcSuspension:
+    """The single-worker sweep suspends generational GC and restores
+    the caller's setting afterwards, whatever the runs do."""
+
+    def test_gc_reenabled_after_sweep(self):
+        assert gc.isenabled()
+        with ExperimentExecutor(workers=1) as ex:
+            ex.run([config().with_seed(s) for s in (1, 2)])
+        assert gc.isenabled()
+
+    def test_gc_reenabled_after_failed_run(self):
+        bad = config(policy_overrides={1: ExplodingPolicy()})
+        with ExperimentExecutor(workers=1, max_retries=0,
+                                on_failure="flag") as ex:
+            good, failed = ex.run([config(), bad])
+        assert isinstance(failed, FailedRun)
+        assert not isinstance(good, FailedRun)
+        assert gc.isenabled()
+
+    def test_caller_disabled_gc_stays_disabled(self):
+        gc.disable()
+        try:
+            with ExperimentExecutor(workers=1) as ex:
+                ex.run([config()])
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
+class ExplodingPolicy(ConformingPolicy):
+    """Raises on the first backoff countdown (a deterministic crasher)."""
+
+    def effective_countdown(self, nominal_slots):
+        raise RuntimeError("synthetic failure")
 
 
 class TestProfiling:

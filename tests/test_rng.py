@@ -119,3 +119,18 @@ class TestBinomial:
         n, p, reps = 200, 0.02, 30_000
         mean = sum(binomial(rng, n, p) for _ in range(reps)) / reps
         assert abs(mean - n * p) < 0.1
+
+    @pytest.mark.parametrize("n, p, sample, next_draw", [
+        # n <= 32: Bernoulli loop, one draw per slot.
+        (32, 0.7, 19, 0.5043358647866779),
+        # n > 32, variance <= 25: geometric-gap inversion.
+        (500, 0.02, 9, 0.7474661602620334),
+        # variance > 25: normal approximation (one gauss() call).
+        (5000, 0.5, 2458, 0.3482583731976877),
+    ])
+    def test_golden_draws(self, n, p, sample, next_draw):
+        # Pins the exact sample and how many draws it consumed: figure
+        # values depend on every stream staying aligned draw for draw.
+        rng = random.Random(20031)
+        assert binomial(rng, n, p) == sample
+        assert rng.random() == next_draw
