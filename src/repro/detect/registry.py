@@ -140,13 +140,7 @@ def make_detector(spec: str, config: ProtocolConfig) -> Detector:
     Invalid parameter *values* (e.g. ``window:W=0``) surface as
     :class:`DetectorSpecError` too, citing the offending spec.
     """
-    name, params = parse_spec(spec)
-    try:
-        return _REGISTRY[name].builder(config, **params)
-    except ValueError as exc:
-        raise DetectorSpecError(
-            f"detector spec {spec!r} has an invalid value: {exc}"
-        ) from None
+    return detector_factory(spec, config)()
 
 
 def detector_factory(
@@ -155,11 +149,20 @@ def detector_factory(
     """A zero-argument factory for per-sender detector instances.
 
     The spec is parsed once, eagerly, so a bad string fails at
-    configuration time rather than on first packet reception.
+    configuration time rather than on first packet reception; each
+    build only calls the registered builder with the parsed params.
     """
-    parse_spec(spec)  # validate now; build later
+    name, params = parse_spec(spec)
+    builder = _REGISTRY[name].builder
+
     def factory() -> Detector:
-        return make_detector(spec, config)
+        try:
+            return builder(config, **params)
+        except ValueError as exc:
+            raise DetectorSpecError(
+                f"detector spec {spec!r} has an invalid value: {exc}"
+            ) from None
+
     factory.spec = spec  # type: ignore[attr-defined]
     return factory
 

@@ -30,7 +30,19 @@ token of per-worker sequence numbers (``"12.7.9.4"``), so a resuming
 watcher still walks the merged history with no loss and no
 duplicates (property-tested in ``tests/test_service_workers.py``).
 ``/watch`` is a bounded polling loop over the scatter (worker loops
-must never block on a long-poll, or ingest would stall behind it).
+must never block on a long-poll, or ingest would stall behind it);
+its polls skip the ``flagged`` list, so a poll does not make every
+worker scan and sort its resident senders.
+
+Each worker handle carries two locks, always taken in the order
+``query_lock`` → ``lock``.  ``lock`` guards the pending batch and
+every write to the pipe; ``query_lock`` makes one query's request and
+reply a single exchange.  A query holds ``lock`` only to flush the
+batch and send its request, then reads the reply under ``query_lock``
+alone — so a query waiting for a busy worker never stalls
+``ingest_line``, and pipe FIFO order still makes the reply reflect
+every line routed before the request.  ``close`` takes both, so its
+stop acknowledgement is never read as a query reply.
 
 Worker processes are started with the ``fork`` method where the
 platform offers it (cheap, and the pool is constructed before any
@@ -178,9 +190,10 @@ def _handle_query(service, cfg: WorkerConfig, misroutes: int, request):
         stats["misroutes"] = misroutes
         return stats
     if kind == "verdicts":
-        _, after, limit = request
+        _, after, limit, with_flagged = request
         pairs, newest, info = service.verdicts.raw_events_after(after, limit)
-        return (pairs, newest, info, service.store.flagged_senders())
+        flagged = service.store.flagged_senders() if with_flagged else None
+        return (pairs, newest, info, flagged)
     if kind == "sender":
         return service.store.get(request[1])
     raise ValueError(f"unknown worker query {kind!r}")
@@ -214,14 +227,17 @@ def _check_spool_geometry(spool_dir, workers: int) -> None:
 # Front-end side
 # ----------------------------------------------------------------------
 class _WorkerHandle:
-    __slots__ = ("index", "process", "conn", "lock", "pending",
-                 "pending_bytes")
+    __slots__ = ("index", "process", "conn", "lock", "query_lock",
+                 "pending", "pending_bytes")
 
     def __init__(self, index, process, conn):
         self.index = index
         self.process = process
         self.conn = conn
+        #: Guards ``pending`` and every write to ``conn``.
         self.lock = Lock()
+        #: One query (request + reply) at a time; taken before ``lock``.
+        self.query_lock = Lock()
         self.pending: List[str] = []
         self.pending_bytes = 0
 
@@ -268,7 +284,6 @@ class IngestWorkerPool:
         self._counter_lock = Lock()
         self._decode_errors = 0
         self._disconnects = 0
-        self._routed = 0
 
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
@@ -339,8 +354,6 @@ class IngestWorkerPool:
             if (len(handle.pending) >= BATCH_LINES
                     or handle.pending_bytes >= BATCH_BYTES):
                 self._ship_locked(handle)
-        with self._counter_lock:
-            self._routed += 1
 
     def ingest_lines(self, lines: Sequence[str]) -> int:
         """Bulk :meth:`ingest_line`; returns lines routed.  Raises on
@@ -387,13 +400,15 @@ class IngestWorkerPool:
     # Scatter-gather queries
     # ------------------------------------------------------------------
     def _query(self, handle: _WorkerHandle, request: tuple):
-        with handle.lock:
-            if handle.pending:
-                self._ship_locked(handle)
+        message = _TAG_QUERY + pickle.dumps(request, pickle.HIGHEST_PROTOCOL)
+        with handle.query_lock:
             try:
-                handle.conn.send_bytes(
-                    _TAG_QUERY + pickle.dumps(request, pickle.HIGHEST_PROTOCOL)
-                )
+                with handle.lock:
+                    if handle.pending:
+                        self._ship_locked(handle)
+                    handle.conn.send_bytes(message)
+                # The reply is read without ``lock``: ingest keeps
+                # shipping while the worker drains its backlog.
                 reply = pickle.loads(handle.conn.recv_bytes())
             except (EOFError, BrokenPipeError, OSError) as exc:
                 raise WorkerPoolError(
@@ -485,10 +500,16 @@ class IngestWorkerPool:
         }
 
     def api_verdicts(
-        self, after: Optional[str] = None, limit: Optional[int] = None,
+        self,
+        after: Optional[str] = None,
+        limit: Optional[int] = None,
+        *,
+        flagged: bool = True,
     ) -> Dict[str, object]:
         """Merged ``/verdicts``: scatter, tag with ``(worker, seq)``,
         sort by flag wall clock, honor ``limit`` across the merge.
+        ``flagged=False`` leaves out the ``flagged`` list (and the
+        per-worker scan that builds it).
 
         The per-worker cursor advance is prefix-safe: a worker's
         events arrive in sequence order with non-decreasing wall
@@ -499,7 +520,9 @@ class IngestWorkerPool:
         """
         cursors = self.parse_cursor(after)
         results = [
-            self._query(handle, ("verdicts", cursors[handle.index], limit))
+            self._query(
+                handle, ("verdicts", cursors[handle.index], limit, flagged)
+            )
             for handle in self._handles
         ]
         tagged = [
@@ -552,19 +575,20 @@ class IngestWorkerPool:
                 "gap": worker_gap,
             })
 
-        flagged = sorted(
-            sender for _, _, _, flagged_list in results
-            for sender in flagged_list
-        )
-        return {
+        payload = {
             "events": events,
             "next": self.format_cursor(next_ids),
             "dropped": dropped,
             "gap": gap,
-            "flagged": flagged,
             "workers": self.workers,
             "per_worker": per_worker,
         }
+        if flagged:
+            payload["flagged"] = sorted(
+                sender for _, _, _, flagged_list in results
+                for sender in flagged_list
+            )
+        return payload
 
     def api_watch(
         self,
@@ -577,10 +601,9 @@ class IngestWorkerPool:
         wait: a worker blocked in a long-poll could not ingest."""
         deadline = time.monotonic() + max(timeout, 0.0)
         while True:
-            payload = self.api_verdicts(after, limit)
+            payload = self.api_verdicts(after, limit, flagged=False)
             remaining = deadline - time.monotonic()
             if payload["events"] or remaining <= 0:
-                payload.pop("flagged", None)
                 return payload
             time.sleep(min(_WATCH_POLL_S, max(remaining, 0.0)))
 
@@ -600,7 +623,9 @@ class IngestWorkerPool:
             return
         self._closed = True
         for handle in self._handles:
-            with handle.lock:
+            # Both locks: no query can be waiting for a reply when the
+            # stop acknowledgement arrives.
+            with handle.query_lock, handle.lock:
                 try:
                     if handle.pending:
                         self._ship_locked(handle)

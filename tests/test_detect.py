@@ -342,6 +342,57 @@ class TestRegistry:
         with pytest.raises(DetectorSpecError):
             detector_factory("nope", PAPER_CONFIG)
 
+    def test_factory_parses_spec_once(self, monkeypatch):
+        from repro.detect import registry
+
+        calls = []
+
+        def spy(spec):
+            calls.append(spec)
+            return parse_spec(spec)
+
+        monkeypatch.setattr(registry, "parse_spec", spy)
+        factory = detector_factory("window:W=16", PAPER_CONFIG)
+        for _ in range(50):
+            factory()
+        assert calls == ["window:W=16"]
+
+    def test_factory_invalid_value_raises_on_build(self):
+        factory = detector_factory("window:W=0", PAPER_CONFIG)
+        with pytest.raises(DetectorSpecError, match="window:W=0"):
+            factory()
+
+    @pytest.mark.parametrize("spec, direct", [
+        ("window", lambda: WindowDetector(
+            window=PAPER_CONFIG.window, thresh=PAPER_CONFIG.thresh)),
+        ("window:W=16,thresh=10",
+         lambda: WindowDetector(window=16, thresh=10.0)),
+        ("cusum", lambda: CusumDetector(
+            h=2.0, k=0.25, norm=float(PAPER_CONFIG.cw_min))),
+        ("cusum:h=1.5", lambda: CusumDetector(
+            h=1.5, k=0.25, norm=float(PAPER_CONFIG.cw_min))),
+        ("estimator", lambda: CwminEstimatorDetector(
+            fraction=0.5, min_samples=8, window=64,
+            cw_min=float(PAPER_CONFIG.cw_min))),
+        ("estimator:window=16,min_samples=4",
+         lambda: CwminEstimatorDetector(
+             fraction=0.5, min_samples=4, window=16,
+             cw_min=float(PAPER_CONFIG.cw_min))),
+    ])
+    def test_factory_builds_match_make_detector(self, spec, direct):
+        """Factory builds, ``make_detector`` and the family class built
+        by hand with the spec's values agree observation for
+        observation."""
+        rng = random.Random(spec)
+        detectors = [detector_factory(spec, PAPER_CONFIG)(),
+                     make_detector(spec, PAPER_CONFIG), direct()]
+        assert len({type(d) for d in detectors}) == 1
+        for _ in range(300):
+            b_exp = rng.uniform(0.0, 62.0)
+            o = obs(b_exp, b_exp * rng.choice((0.0, 0.5, 1.0, 1.2)))
+            assert len({d.observe(o) for d in detectors}) == 1
+            assert len({d.is_misbehaving for d in detectors}) == 1
+
     @given(pairs)
     @settings(max_examples=25)
     def test_detectors_deterministic(self, stream):

@@ -14,7 +14,9 @@ from __future__ import annotations
 import io
 import json
 import os
+import pickle
 import signal
+import sys
 import threading
 import time
 
@@ -233,6 +235,186 @@ class TestMergedVerdicts:
         pool3.ingest_line(cheat_line("cheat"))
         payload = pool3.api_watch(timeout=5.0)
         assert [e["sender"] for e in payload["events"]] == ["cheat"]
+
+    def test_watch_polls_skip_flagged_list(self, pool3, monkeypatch):
+        """A /watch poll never asks workers for the flagged scan; a
+        plain /verdicts still does."""
+        requests = []
+        query = IngestWorkerPool._query
+
+        def spy(self, handle, request):
+            requests.append(request)
+            return query(self, handle, request)
+
+        monkeypatch.setattr(IngestWorkerPool, "_query", spy)
+        pool3.ingest_line(honest_line("honest"))
+        payload = pool3.api_watch(timeout=0.2)  # several empty polls
+        pool3.ingest_line(cheat_line("cheat"))
+        payload = pool3.api_watch(payload["next"], timeout=5.0)
+        assert [e["sender"] for e in payload["events"]] == ["cheat"]
+        assert "flagged" not in payload
+        watched = [r for r in requests if r[0] == "verdicts"]
+        assert len(watched) >= 2 * 3
+        assert all(r[3] is False for r in watched)
+
+        requests.clear()
+        assert pool3.api_verdicts()["flagged"] == ["cheat"]
+        assert [r[3] for r in requests] == [True] * 3
+
+
+class _GatedConn:
+    """A worker pipe whose first ``recv_bytes`` waits for ``gate`` —
+    parks one query mid-reply for as long as a test needs — and which
+    records every message read as ``(thread name, message)``."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.gate = threading.Event()
+        self.parked = threading.Event()
+        self.received = []
+
+    def recv_bytes(self):
+        if not self.parked.is_set():
+            self.parked.set()
+            self.gate.wait()
+        data = self._conn.recv_bytes()
+        self.received.append(
+            (threading.current_thread().name, pickle.loads(data))
+        )
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+class TestLockDiscipline:
+    """Queries take ``query_lock`` → ``lock`` and read their reply
+    under ``query_lock`` alone, so a slow query never stalls ingest,
+    and ``close`` (both locks) never races a query reply."""
+
+    def test_ingest_proceeds_while_query_awaits_reply(self):
+        from repro.service.workers import BATCH_LINES
+
+        pool = IngestWorkerPool(workers=1, shards=2, max_entries=1_000)
+        conn = pool._handles[0].conn = _GatedConn(pool._handles[0].conn)
+        safety = threading.Timer(10.0, conn.gate.set)  # never hang
+        safety.start()
+        try:
+            result = {}
+            query = threading.Thread(
+                target=lambda: result.update(pool.api_stats()), daemon=True
+            )
+            query.start()
+            assert conn.parked.wait(5.0)
+            lines = BATCH_LINES + 10  # forces at least one batch ship
+            started = time.monotonic()
+            for i in range(lines):
+                pool.ingest_line(honest_line(str(i % 50), time_us=i))
+            elapsed = time.monotonic() - started
+            assert elapsed < 2.0, f"ingest stalled {elapsed:.1f}s behind a query"
+            assert query.is_alive()  # the query is still parked
+            conn.gate.set()
+            query.join(5.0)
+            assert not query.is_alive()
+            assert result["observations"] == 0  # issued before the lines
+            assert pool.api_stats()["observations"] == lines
+        finally:
+            safety.cancel()
+            conn.gate.set()
+            pool.close()
+
+    def test_close_during_watch_never_reads_stop_reply(self):
+        from repro.service.workers import WorkerPoolError, _SHUTDOWN_TIMEOUT
+
+        pool = IngestWorkerPool(workers=1, shards=2, max_entries=1_000)
+        conn = pool._handles[0].conn = _GatedConn(pool._handles[0].conn)
+        outcome = []
+
+        def watch():
+            try:
+                outcome.append(pool.api_watch(timeout=30.0))
+            except Exception as exc:  # recorded for the assertion
+                outcome.append(exc)
+
+        watcher = threading.Thread(target=watch, name="watcher", daemon=True)
+        try:
+            watcher.start()
+            assert conn.parked.wait(5.0)  # a watch poll is mid-query
+            closer = threading.Thread(target=pool.close, name="closer",
+                                      daemon=True)
+            started = time.monotonic()
+            closer.start()
+            time.sleep(0.1)  # let close queue up behind the query
+            conn.gate.set()
+            closer.join(_SHUTDOWN_TIMEOUT)
+            assert not closer.is_alive()
+            assert time.monotonic() - started < _SHUTDOWN_TIMEOUT
+            watcher.join(5.0)
+            assert not watcher.is_alive()
+            assert len(outcome) == 1
+            assert isinstance(outcome[0], (dict, WorkerPoolError)), outcome
+            # The watcher read only query replies, close only the stop
+            # acknowledgement.
+            byes = [(name, message) for name, message in conn.received
+                    if message == ("bye", 0)]
+            assert byes == [("closer", ("bye", 0))], conn.received
+        finally:
+            conn.gate.set()
+            pool.close()
+
+    def test_concurrent_ingest_and_queries_keep_replies_paired(self):
+        """Ingest threads race query threads on a 2-worker pool with a
+        tiny switch interval: every line is folded exactly once and
+        every query gets its own reply (a crossed reply would hand a
+        sender query another query's payload)."""
+        pool = IngestWorkerPool(workers=2, shards=2, max_entries=10_000)
+        feeders, per_feeder, errors = 3, 1_500, []
+        stop = threading.Event()
+
+        def feed(f):
+            try:
+                for i in range(per_feeder):
+                    pool.ingest_line(honest_line(f"s{f}-{i % 40}", time_us=i))
+            except Exception as exc:  # recorded for the assertion
+                errors.append(exc)
+
+        def query(q):
+            try:
+                while not stop.is_set():
+                    sender = f"s{q}-{q}"
+                    snapshot = pool.api_sender(sender)
+                    assert snapshot is None or snapshot["sender"] == sender
+                    assert isinstance(pool.api_stats()["observations"], int)
+                    assert "flagged" not in pool.api_watch(timeout=0.0)
+            except Exception as exc:  # recorded for the assertion
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            try:
+                queriers = [threading.Thread(target=query, args=(q,),
+                                             daemon=True) for q in range(2)]
+                threads = [threading.Thread(target=feed, args=(f,),
+                                            daemon=True)
+                           for f in range(feeders)]
+                for thread in queriers + threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+                    assert not thread.is_alive()
+            finally:
+                stop.set()
+                sys.setswitchinterval(interval)
+            for thread in queriers:
+                thread.join(30.0)
+                assert not thread.is_alive()
+            assert errors == []
+            stats = pool.api_stats()
+            assert stats["observations"] == feeders * per_feeder
+            assert stats["store"]["entries"] == feeders * 40
+        finally:
+            pool.close()
 
 
 # ----------------------------------------------------------------------
