@@ -90,8 +90,9 @@ class Observation:
         format, and a silently mis-read field would corrupt verdicts
         downstream.  Raises :class:`ObservationDecodeError` naming the
         offending field for: a non-mapping payload, a missing or
-        unsupported ``v``, missing fields, unknown fields, wrong
-        types (bools are not numbers), non-finite backoffs,
+        unsupported ``v`` (which must be an integer), missing fields,
+        unknown fields, wrong types (bools are not numbers),
+        non-finite backoffs (including integers beyond float range),
         ``retries < 1`` and ``time_us < 0``.
         """
         if not isinstance(data, dict):
@@ -105,7 +106,8 @@ class Observation:
                 "observation record has no 'v' schema-version field "
                 f"(this build writes v={OBSERVATION_SCHEMA_VERSION})"
             )
-        if version != OBSERVATION_SCHEMA_VERSION:
+        if (isinstance(version, bool) or not isinstance(version, int)
+                or version != OBSERVATION_SCHEMA_VERSION):
             raise ObservationDecodeError(
                 f"unsupported observation schema version {version!r}; "
                 f"this build reads v={OBSERVATION_SCHEMA_VERSION}"
@@ -132,12 +134,19 @@ class Observation:
                     f"observation field {name!r} must be a number, "
                     f"got {value!r}"
                 )
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ObservationDecodeError(
+                    f"observation field {name!r} must be finite, got an "
+                    f"integer beyond float range"
+                ) from None
             if not math.isfinite(value):
                 raise ObservationDecodeError(
                     f"observation field {name!r} must be finite, "
                     f"got {value!r}"
                 )
-            values[name] = float(value)
+            values[name] = value
         for name, minimum in (("retries", 1), ("time_us", 0)):
             value = data[name]
             if isinstance(value, bool) or not isinstance(value, int):

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import socket
 import threading
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.detect import Observation
 from repro.detect.window import WindowDetector
@@ -44,6 +47,7 @@ from repro.service import (
     sender_of_line,
     shard_of,
 )
+from repro.service.codec import _decode_strict
 from repro.service.store import FlagEvent
 
 
@@ -54,6 +58,87 @@ def obs(b_exp, b_act, retries=1, time_us=0):
 
 def window_factory(window=5, thresh=20.0):
     return lambda: WindowDetector(window=window, thresh=thresh)
+
+
+#: A canonical wire line with each field as a raw JSON token, for
+#: spelling records that ``encode_record`` would never write.
+WIRE_TEMPLATE = ('{{"b_act":{b_act},"b_exp":{b_exp},"retries":{retries},'
+                 '"sender":"{sender}","time_us":{time_us},"v":{v}}}')
+
+
+def wire_line(**tokens):
+    fields = dict(b_act="7.0", b_exp="31.0", retries="1", sender="3",
+                  time_us="0", v="1")
+    fields.update(tokens)
+    return WIRE_TEMPLATE.format(**fields)
+
+
+#: Well-formed JSON whose numbers overflow the decoder: a 400-digit
+#: backoff is beyond float range, a 5000-digit integer exceeds
+#: Python's int-string digit limit inside json.loads.
+OVERFLOW_LINES = {
+    "b_act": wire_line(b_act="9" * 400),
+    "retries": wire_line(retries="1" * 5000),
+}
+
+
+def decode_outcome(decode, line):
+    try:
+        sender, observation = decode(line)
+    except WireError as exc:
+        return "error", str(exc)
+    return "ok", sender, observation
+
+
+def assert_decodes_like_strict(line):
+    """decode_record (fast path or not) agrees with the strict path:
+    the same error message, or the same (sender, Observation) down to
+    field types and the sign of zero."""
+    fast = decode_outcome(decode_record, line)
+    strict = decode_outcome(_decode_strict, line)
+    assert fast == strict
+    if fast[0] == "ok":
+        for name in ("b_exp", "b_act", "retries", "time_us"):
+            mine = getattr(fast[2], name)
+            theirs = getattr(strict[2], name)
+            assert type(mine) is type(theirs), name
+            assert math.copysign(1, mine) == math.copysign(1, theirs), name
+    return fast
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+observations = st.builds(
+    Observation, b_exp=finite, b_act=finite,
+    retries=st.integers(min_value=-3, max_value=2**70),
+    time_us=st.integers(min_value=-3, max_value=2**70),
+)
+senders = st.text(min_size=0, max_size=300) | st.text(
+    st.characters(codec="ascii"), min_size=250, max_size=260)
+canonical_lines = st.builds(encode_record, senders, observations)
+#: Number-ish JSON (and non-JSON) tokens for the templated lines.
+number_tokens = st.from_regex(
+    r"-?[0-9]{1,24}(\.[0-9]{0,4})?([eE][-+]?[0-9]{1,3})?", fullmatch=True
+) | st.sampled_from(["-0", "-0.0", "00", "01.5", "1e400", "NaN",
+                     "Infinity", "true", "null", '"1"', "1.", ".5"])
+templated_lines = st.builds(
+    wire_line, b_act=number_tokens, b_exp=number_tokens,
+    retries=number_tokens, time_us=number_tokens, v=number_tokens,
+)
+#: Characters a single-character mutation inserts or substitutes.
+MUTATION_ALPHABET = '0123456789-+.eE",:{}[] \\\x00ab'
+
+
+@st.composite
+def mutated_lines(draw):
+    line = draw(canonical_lines)
+    index = draw(st.integers(min_value=0, max_value=len(line)))
+    char = draw(st.sampled_from(MUTATION_ALPHABET))
+    kind = draw(st.sampled_from(["insert", "replace", "delete"]))
+    if kind == "insert":
+        return line[:index] + char + line[index:]
+    if kind == "replace":
+        return line[:index] + char + line[index + 1:]
+    return line[:index] + line[index + 1:]
 
 
 # ----------------------------------------------------------------------
@@ -106,6 +191,86 @@ class TestCodec:
         with pytest.raises(WireError, match="bogus"):
             decode_record(json.dumps(record))
 
+    def test_schema_version_must_be_an_integer(self):
+        """``True == 1`` and ``1.0 == 1`` in Python; neither is the
+        integer schema version on the wire (bools are not numbers)."""
+        for token in ("true", "1.0"):
+            with pytest.raises(WireError, match="schema version"):
+                decode_record(wire_line(v=token))
+
+    def test_overflowing_numbers_rejected_naming_the_field(self):
+        for field, line in OVERFLOW_LINES.items():
+            with pytest.raises(WireError, match=repr(field)):
+                decode_record(line)
+        # Integer literals anywhere else are still a WireError.
+        for tail in ("]", ", {nope", ", " + "[" * 100_000):
+            with pytest.raises(WireError, match="too long"):
+                decode_record("[" + "1" * 5000 + tail)
+        with pytest.raises(WireError, match="not valid JSON"):
+            decode_record("[" * 100_000)
+
+    def test_canonical_line_takes_the_fast_path(self, monkeypatch):
+        """encode_record output never reaches json.loads."""
+        def no_loads(*args, **kwargs):
+            raise AssertionError("json.loads called on a canonical line")
+
+        monkeypatch.setattr(json, "loads", no_loads)
+        for sender in ("3", "node-x", "a b", "x" * 256):
+            original = obs(31.0, -0.0, retries=7, time_us=10**15)
+            assert decode_record(encode_record(sender, original)) \
+                == (sender, original)
+
+    @pytest.mark.parametrize("line, expected", [
+        (wire_line(retries="0"), "'retries' must be >= 1"),
+        (wire_line(time_us="-1"), "'time_us' must be >= 0"),
+        (wire_line(b_act="1e400"), "'b_act' must be finite"),
+        (wire_line(b_exp="NaN"), "'b_exp' must be finite"),
+        (wire_line(b_act="00"), "not valid JSON"),
+        (wire_line(b_act="-0"), None),
+        (wire_line(b_act="-0.0"), None),
+        (wire_line(b_act="12", b_exp="-3"), None),
+        (wire_line(time_us="-0"), None),
+        (wire_line(sender="x" * 256), None),
+        (wire_line(sender="x" * 257), "exceeds 256 characters (257)"),
+        (wire_line(sender=""), "non-empty string"),
+        (wire_line(sender="a\tb"), "not valid JSON"),
+        (wire_line(b_act="1" * 308), None),
+        (wire_line(b_act="1" * 309), None),
+        (wire_line(b_act="9" * 309), "'b_act' must be finite"),
+        (" " + wire_line(), None),
+    ])
+    def test_fast_path_edge_cases(self, line, expected):
+        outcome = assert_decodes_like_strict(line)
+        if expected is None:
+            assert outcome[0] == "ok", outcome
+        else:
+            assert outcome[0] == "error" and expected in outcome[1], outcome
+
+    def test_integer_backoffs_decode_like_json(self):
+        _, decoded = decode_record(wire_line(b_act="-0", b_exp="12"))
+        assert decoded.b_act == 0.0 and math.copysign(1, decoded.b_act) == 1
+        assert decoded.b_exp == 12.0 and type(decoded.b_exp) is float
+
+    @given(canonical_lines)
+    @settings(max_examples=300, deadline=None)
+    def test_fast_path_matches_strict_on_canonical_lines(self, line):
+        assert_decodes_like_strict(line)
+
+    @given(mutated_lines())
+    @settings(max_examples=500, deadline=None)
+    def test_fast_path_matches_strict_on_mutated_lines(self, line):
+        assert_decodes_like_strict(line)
+
+    @given(templated_lines)
+    @settings(max_examples=200, deadline=None)
+    def test_fast_path_matches_strict_on_number_spellings(self, line):
+        assert_decodes_like_strict(line)
+
+    @given(st.text(max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_fast_path_matches_strict_on_arbitrary_text(self, line):
+        assert_decodes_like_strict(line)
+
     def test_decode_lines_skips_blank_keepalives(self):
         lines = [encode_record("a", obs(1, 1)), "", "   ",
                  encode_record("b", obs(2, 2))]
@@ -139,6 +304,16 @@ class TestCodec:
         long_line = json.dumps(record, separators=(",", ":"),
                                sort_keys=True)
         assert sender_of_line(long_line) is None
+
+    def test_sender_of_line_undecided_on_duplicate_sender_key(self):
+        """JSON keeps the last duplicate key, so a scan that stops at
+        the first ``"sender"`` would route by the wrong key."""
+        for second in ('"sender":"B"', '"sender" : "B"',
+                       '"s\\u0065nder":"B"'):
+            line = wire_line(sender="A").replace(
+                ',"time_us"', "," + second + ',"time_us"')
+            assert decode_record(line)[0] == "B"
+            assert sender_of_line(line) is None
 
 
 # ----------------------------------------------------------------------
@@ -470,6 +645,35 @@ class TestTcpIngest:
                 deadline -= 1
             stats = service.stats()
             assert stats["observations"] == 2
+            assert stats["decode_errors"] == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    @pytest.mark.parametrize("field", sorted(OVERFLOW_LINES))
+    def test_overflowing_line_rejected_and_stream_continues(self, field):
+        """A well-formed line whose number overflows the decoder is one
+        reject, not a dead connection handler."""
+        service = DetectionService(shards=1, max_entries=8)
+        server = TcpIngestServer(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            with socket.create_connection((host, port), timeout=5) as conn:
+                payload = OVERFLOW_LINES[field] + "\n" + encode_record(
+                    "5", obs(1.0, 1.0)) + "\n"
+                conn.sendall(payload.encode())
+                conn.shutdown(socket.SHUT_WR)
+                reply = conn.makefile().read()
+            rejects = [json.loads(line) for line in reply.splitlines()]
+            assert len(rejects) == 1 and repr(field) in rejects[0]["error"]
+            deadline = 50
+            while service.stats()["observations"] < 1 and deadline:
+                threading.Event().wait(0.05)
+                deadline -= 1
+            stats = service.stats()
+            assert stats["observations"] == 1
             assert stats["decode_errors"] == 1
         finally:
             server.shutdown()

@@ -38,6 +38,7 @@ from repro.service import (
     worker_of,
 )
 from repro.service.store import FlagEvent
+from tests.test_service import OVERFLOW_LINES
 
 
 def obs(b_exp, b_act, retries=1, time_us=0):
@@ -133,6 +134,42 @@ class TestIngestWorkerPool:
         stats = pool3.api_stats()
         assert stats["observations"] == 2
         assert stats["decode_errors"] == 1
+
+    @pytest.mark.parametrize("field", sorted(OVERFLOW_LINES))
+    def test_overflowing_line_does_not_kill_a_worker(self, field):
+        """The sender scan routes these well-formed lines to a worker,
+        whose decoder must count them as errors and carry on."""
+        pool = IngestWorkerPool(workers=2, shards=2, max_entries=100)
+        try:
+            pool.ingest_line(OVERFLOW_LINES[field])
+            pool.ingest_line(honest_line("3"))
+            stats = pool.api_stats()
+            assert stats["observations"] == 1
+            assert stats["decode_errors"] == 1
+            assert pool.api_sender("3")["observations"] == 1
+        finally:
+            pool.close()
+
+    def test_duplicate_sender_key_folded_like_single_process(self):
+        """JSON keeps the last duplicate key: the pool must route the
+        line by the sender the single-process service folds it under."""
+        first, last = "A", "C"
+        assert worker_of(first, 2) != worker_of(last, 2)
+        line = honest_line(first).replace(
+            ',"time_us"', f',"sender":"{last}","time_us"')
+        single = DetectionService(shards=2, max_entries=100)
+        single.ingest_line(line)
+        pool = IngestWorkerPool(workers=2, shards=2, max_entries=100)
+        try:
+            pool.ingest_line(line)
+            stats = pool.api_stats()
+            assert stats["observations"] == 1
+            assert stats["misroutes"] == 0
+            for service in (single, pool):
+                assert service.api_sender(first) is None
+                assert service.api_sender(last)["observations"] == 1
+        finally:
+            pool.close()
 
     def test_exotic_sender_routed_via_full_decode(self, pool3):
         """A \\u-escaped sender defeats the fast scan; the router must
