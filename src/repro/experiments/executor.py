@@ -356,9 +356,10 @@ class ExperimentExecutor:
         """Single-worker execution of a pending batch.
 
         Generational GC is suspended for the duration of the sweep —
-        run_scenario's event churn is acyclic, and collector passes
-        over a sweep's worth of live results cost a measurable slice
-        of wall time.  The caller's GC state is restored afterwards.
+        collector passes over a sweep's worth of live results cost a
+        measurable slice of wall time.  Each finished run's object
+        graph (MACs, medium, kernel heap) is cyclic garbage that waits
+        for the collection when the caller's GC state is restored.
         """
         gc_was_enabled = gc.isenabled()
         gc.disable()

@@ -29,11 +29,19 @@ Bernoulli with probability ``Phi((gain_S - gain_I - capture_db) /
 (sigma*sqrt(2)))``, the probability that the power ratio of two
 shadowed signals exceeds the capture threshold.  ns-2 (the paper's
 substrate) uses the same 10 dB capture rule.
+
+Link, sensing and capture probabilities depend only on node positions
+and the shadowing model, never on the seed.  They live in
+:class:`Geometry` objects shared process-wide through a small LRU
+table (:func:`geometry_for`), so the seeds of one data point -- which
+the paper runs on identical positions -- compute them once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Tuple
 
@@ -43,6 +51,132 @@ from repro.phy.propagation import LinkProbabilities, ShadowingModel, distance, n
 #: Capture threshold (dB): a frame survives interference when its
 #: received power exceeds the interferer's by at least this much.
 CAPTURE_THRESHOLD_DB = 10.0
+
+#: Distinct topologies whose geometry the process keeps (LRU).  The
+#: fig6/fig7 planner emits scenario -> protocol -> size with seeds
+#: innermost, so its 8 topologies are each built once per process.
+GEOMETRY_TABLE_SIZE = 8
+
+
+class Geometry:
+    """Seed-independent link geometry of one topology.
+
+    A pure function of the shadowing model and the registered
+    ``(node_id, position)`` sequence, so every run on the same
+    positions shares one instance (see :func:`geometry_for`).  Tables
+    fill lazily, and a value once computed never changes.
+    """
+
+    __slots__ = ("model", "positions", "_links", "_captures", "_partitions")
+
+    def __init__(self, model: ShadowingModel, nodes: tuple):
+        self.model = model
+        #: node_id -> position, in registration order.
+        self.positions: Dict[int, Tuple[float, float]] = dict(nodes)
+        self._links: Dict[Tuple[int, int], LinkProbabilities] = {}
+        self._captures: Dict[Tuple[int, int, int], float] = {}
+        self._partitions: Dict[int, tuple] = {}
+
+    def link(self, src: int, dst: int) -> LinkProbabilities:
+        """Link probabilities from ``src`` to ``dst``."""
+        key = (src, dst)
+        cached = self._links.get(key)
+        if cached is None:
+            if src == dst:
+                cached = LinkProbabilities(distance_m=0.0, receive=1.0, sense=1.0)
+            else:
+                d = distance(self.positions[src], self.positions[dst])
+                cached = self.model.link(max(d, 1e-6))
+            self._links[key] = cached
+        return cached
+
+    def partition(self, src: int) -> tuple:
+        """Listener partition for transmissions from ``src``.
+
+        Returns ``(notify_ids, notify_ps, deliver)``: ``notify_ids``
+        are the strongly and marginally sensing nodes (the source
+        itself is "strong" -- half-duplex deafness), ``notify_ps`` the
+        matching per-slot sense probabilities (``None`` for strong),
+        and ``deliver`` is ``((node_id, link), ...)`` over the other
+        nodes with a non-negligible receive or sense probability.  All
+        three keep registration order, so callbacks fire exactly as
+        they would from a per-listener classification sweep.
+        """
+        partition = self._partitions.get(src)
+        if partition is None:
+            eps = LinkProbabilities.EPS
+            notify_ids = []
+            notify_ps = []
+            deliver = []
+            for node_id in self.positions:
+                if node_id == src:
+                    notify_ids.append(node_id)
+                    notify_ps.append(None)
+                    continue
+                link = self.link(src, node_id)
+                cls = link.classify()
+                if cls == "strong":
+                    notify_ids.append(node_id)
+                    notify_ps.append(None)
+                elif cls == "marginal":
+                    notify_ids.append(node_id)
+                    notify_ps.append(link.sense)
+                if link.receive > eps or link.sense > eps:
+                    deliver.append((node_id, link))
+            partition = (tuple(notify_ids), tuple(notify_ps), tuple(deliver))
+            self._partitions[src] = partition
+        return partition
+
+    def capture_probability(self, src: int, interferer: int, at: int) -> float:
+        """P(src's signal exceeds interferer's by the capture margin at node).
+
+        Both signals carry independent shadowing, so their dB
+        difference is Gaussian with std ``sigma*sqrt(2)`` around the
+        difference of mean path gains.
+        """
+        key = (src, interferer, at)
+        cached = self._captures.get(key)
+        if cached is not None:
+            return cached
+        positions = self.positions
+        d_src = max(distance(positions[src], positions[at]), 1e-6)
+        d_int = max(distance(positions[interferer], positions[at]), 1e-6)
+        mean_margin = (
+            self.model.mean_path_gain_db(d_src)
+            - self.model.mean_path_gain_db(d_int)
+            - CAPTURE_THRESHOLD_DB
+        )
+        sigma = self.model.sigma_db * math.sqrt(2.0)
+        if sigma == 0.0:
+            probability = 1.0 if mean_margin >= 0.0 else 0.0
+        else:
+            probability = normal_cdf(mean_margin / sigma)
+        self._captures[key] = probability
+        return probability
+
+
+#: key -> Geometry, least recently used first; key is
+#: ``(model, ((node_id, position), ...))`` in registration order.
+_GEOMETRY_TABLE: "OrderedDict[tuple, Geometry]" = OrderedDict()
+_GEOMETRY_LOCK = threading.Lock()
+
+
+def geometry_for(model: ShadowingModel, nodes: tuple) -> Geometry:
+    """The shared :class:`Geometry` of ``nodes`` under ``model``.
+
+    ``nodes`` is ``((node_id, position), ...)`` in registration order.
+    Keeps the :data:`GEOMETRY_TABLE_SIZE` most recently used entries.
+    """
+    key = (model, nodes)
+    with _GEOMETRY_LOCK:
+        geometry = _GEOMETRY_TABLE.get(key)
+        if geometry is None:
+            geometry = _GEOMETRY_TABLE[key] = Geometry(model, nodes)
+            if len(_GEOMETRY_TABLE) > GEOMETRY_TABLE_SIZE:
+                _GEOMETRY_TABLE.popitem(last=False)
+        else:
+            _GEOMETRY_TABLE.move_to_end(key)
+    return geometry
 
 
 class MediumListener(Protocol):
@@ -74,14 +208,16 @@ class Transmission:
     frame: object
     start: int
     end: int
-    #: Transmissions whose airtime overlapped this one at any point.
+    #: Transmissions whose airtime overlapped this one at any point;
+    #: emptied once the frame is delivered, so finished transmissions
+    #: form no reference cycles and are freed by refcount.
     overlaps: List["Transmission"] = field(default_factory=list)
     #: True when a jamming burst overlapped the airtime (decode fails).
     jammed: bool = False
-    #: The source's listener partition (see ``Medium._source_view``),
+    #: The source's listener view (see ``Medium._source_view``),
     #: frozen at transmission start so that busy-count bookkeeping
     #: stays balanced even if node positions change mid-flight
-    #: (mobility support).  ``(version, notify, deliver)``.
+    #: (mobility support).
     view: Optional[tuple] = None
 
 
@@ -122,19 +258,13 @@ class Medium:
             raise ValueError("Medium requires a random stream (rng)")
         self.rng = rng
         self._states: Dict[int, _ListenerState] = {}
-        self._links: Dict[Tuple[int, int], LinkProbabilities] = {}
         self._active: List[Transmission] = []
-        #: Per-source listener partitions (classification + delivery
-        #: candidates), precomputed once per topology version instead
-        #: of re-classifying every listener on every transmission.
+        #: The shared geometry of the registered positions; ``None``
+        #: until the first lookup after a register / move binds it.
+        self._geometry: Optional[Geometry] = None
+        #: Per-source views: the geometry's partitions mapped onto
+        #: this run's listener states (see :meth:`_source_view`).
         self._src_views: Dict[int, tuple] = {}
-        #: Capture probabilities keyed (src, interferer, listener):
-        #: pure geometry, so cacheable until a node moves.
-        self._capture_cache: Dict[Tuple[int, int, int], float] = {}
-        #: Bumped whenever node geometry changes (register / move); a
-        #: transmission whose frozen view predates the current version
-        #: falls back to live link lookups for delivery.
-        self._links_version = 0
         #: Optional structured event log (repro.sim.trace.TraceLog);
         #: None disables tracing entirely.
         self.trace = None
@@ -159,59 +289,49 @@ class Medium:
         if listener.node_id in self._states:
             raise ValueError(f"node {listener.node_id} already registered")
         self._states[listener.node_id] = _ListenerState(listener, position)
-        self._invalidate_views()
+        self._unbind()
 
-    def _invalidate_views(self) -> None:
-        """Drop geometry-derived caches (new node or node moved)."""
-        self._links_version += 1
+    def _unbind(self) -> None:
+        """Forget the geometry binding (new node or node moved)."""
+        self._geometry = None
         self._src_views.clear()
-        self._capture_cache.clear()
+
+    def _bound_geometry(self) -> Geometry:
+        """The shared geometry of the current positions (binding it)."""
+        geometry = self._geometry
+        if geometry is None:
+            nodes = tuple(
+                (node_id, state.position)
+                for node_id, state in self._states.items()
+            )
+            self._geometry = geometry = geometry_for(self.model, nodes)
+        return geometry
 
     def _source_view(self, src: int) -> tuple:
-        """Frozen listener partition for transmissions from ``src``.
+        """Frozen listener view for transmissions from ``src``.
 
-        Returns ``(version, notify, deliver)`` where ``notify`` is
-        ``[(state, is_strong, p_sense), ...]`` over the strongly and
-        marginally sensing listeners (the source itself is "strong" —
-        half-duplex deafness) and ``deliver`` is
-        ``[(node_id, state, link), ...]`` over listeners with a
-        non-negligible receive or sense probability.  Both preserve
-        registration order, so callbacks fire exactly as they would
-        from a per-listener classification sweep.
+        Returns ``(geometry, notify_states, notify_ps, deliver,
+        deliver_states)``: the geometry's :meth:`Geometry.partition`
+        with each node id mapped onto this run's listener state.
         """
         view = self._src_views.get(src)
         if view is None:
-            eps = LinkProbabilities.EPS
-            notify = []
-            deliver = []
-            for node_id, state in self._states.items():
-                if node_id == src:
-                    notify.append((state, True, 0.0))
-                    continue
-                link = self.link(src, node_id)
-                cls = link.classify()
-                if cls == "strong":
-                    notify.append((state, True, 0.0))
-                elif cls == "marginal":
-                    notify.append((state, False, link.sense))
-                if link.receive > eps or link.sense > eps:
-                    deliver.append((node_id, state, link))
-            view = (self._links_version, notify, deliver)
+            geometry = self._bound_geometry()
+            notify_ids, notify_ps, deliver = geometry.partition(src)
+            states = self._states
+            view = (
+                geometry,
+                [states[node_id] for node_id in notify_ids],
+                notify_ps,
+                deliver,
+                [states[node_id] for node_id, _ in deliver],
+            )
             self._src_views[src] = view
         return view
 
     def link(self, src: int, dst: int) -> LinkProbabilities:
-        """Cached link probabilities between two registered nodes."""
-        key = (src, dst)
-        cached = self._links.get(key)
-        if cached is None:
-            if src == dst:
-                cached = LinkProbabilities(distance_m=0.0, receive=1.0, sense=1.0)
-            else:
-                d = distance(self._states[src].position, self._states[dst].position)
-                cached = self.model.link(max(d, 1e-6))
-            self._links[key] = cached
-        return cached
+        """Link probabilities between two registered nodes."""
+        return self._bound_geometry().link(src, dst)
 
     def position_of(self, node_id: int) -> Tuple[float, float]:
         """Registered position of a node."""
@@ -220,9 +340,10 @@ class Medium:
     def update_position(self, node_id: int, position: Tuple[float, float]) -> None:
         """Move a node (mobility support).
 
-        Link probabilities involving the node are recomputed for
-        subsequent transmissions; transmissions already on the air
-        keep the sensing classification frozen at their start (their
+        The medium rebinds to the geometry of the new positions on its
+        next lookup (a node moving back finds its old entry if the
+        table still holds it).  Transmissions already on the air keep
+        the sensing classification frozen at their start (their
         busy-count bookkeeping must stay balanced), which at mobility
         speeds (< a few m per frame) is exact to well under a meter.
         """
@@ -230,10 +351,7 @@ class Medium:
         if state is None:
             raise KeyError(f"node {node_id} is not registered")
         state.position = position
-        stale = [key for key in self._links if node_id in key]
-        for key in stale:
-            del self._links[key]
-        self._invalidate_views()
+        self._unbind()
 
     # ------------------------------------------------------------------
     # Channel-view queries (used by backoff timers / idle counters)
@@ -297,8 +415,8 @@ class Medium:
     def _notify_start(self, tx: Transmission) -> None:
         tx.view = view = self._source_view(tx.src)
         marginal_key = id(tx)
-        for state, is_strong, p_sense in view[1]:
-            if is_strong:
+        for state, p_sense in zip(view[1], view[2]):
+            if p_sense is None:
                 state.strong_count += 1
                 if state.strong_count == 1:
                     state.listener.on_channel_busy()
@@ -312,9 +430,13 @@ class Medium:
         # EIFS decision they imply) are known at frame end, and the
         # MAC's deference logic needs them when the channel goes idle.
         self._deliver(tx)
+        # Only delivery reads the overlap list; dropping it breaks the
+        # cycles between overlapping transmissions.
+        tx.overlaps.clear()
         marginal_key = id(tx)
-        for state, is_strong, _ in tx.view[1]:
-            if is_strong:
+        view = tx.view
+        for state, p_sense in zip(view[1], view[2]):
+            if p_sense is None:
                 state.strong_count -= 1
                 if state.strong_count == 0:
                     state.listener.on_channel_idle()
@@ -365,21 +487,11 @@ class Medium:
     # ------------------------------------------------------------------
     def _deliver(self, tx: Transmission) -> None:
         view = tx.view
-        if view is not None and view[0] == self._links_version:
-            candidates = view[2]
-        else:
+        if view[0] is not self._geometry:
             # A node moved (or registered) while the frame was in
             # flight: classification stays frozen, but delivery uses
-            # live link probabilities, exactly as the uncached sweep.
-            eps = LinkProbabilities.EPS
-            candidates = []
-            for node_id, state in self._states.items():
-                if node_id == tx.src:
-                    continue
-                link = self.link(tx.src, node_id)
-                if link.receive <= eps and link.sense <= eps:
-                    continue
-                candidates.append((node_id, state, link))
+            # the links of the current positions.
+            view = self._source_view(tx.src)
         # Half-duplex: a node transmitting during any overlap (or
         # being the source of an overlapping frame) hears nothing.
         overlap_srcs = {o.src for o in tx.overlaps} if tx.overlaps else ()
@@ -387,7 +499,7 @@ class Medium:
         rng_random = self.rng.random
         one_minus_eps = 1.0 - LinkProbabilities.EPS
         clean = not tx.jammed and not tx.overlaps
-        for node_id, state, link in candidates:
+        for (node_id, link), state in zip(view[3], view[4]):
             if node_id in overlap_srcs:
                 continue
             if clean:
@@ -462,41 +574,15 @@ class Medium:
         if link.receive < 1.0 - LinkProbabilities.EPS:
             if self.rng.random() >= link.receive:
                 return False
+        capture_probability = self._bound_geometry().capture_probability
         for interferer in tx.overlaps:
             if interferer.src == tx.src:
                 continue
-            if self.rng.random() >= self._capture_probability(
+            if self.rng.random() >= capture_probability(
                 tx.src, interferer.src, node_id
             ):
                 return False
         return True
-
-    def _capture_probability(self, src: int, interferer: int, at: int) -> float:
-        """P(src's signal exceeds interferer's by the capture margin at node).
-
-        Both signals carry independent shadowing, so their dB
-        difference is Gaussian with std ``sigma*sqrt(2)`` around the
-        difference of mean path gains.  Pure geometry, so the value is
-        cached until a node moves.
-        """
-        key = (src, interferer, at)
-        cached = self._capture_cache.get(key)
-        if cached is not None:
-            return cached
-        d_src = max(distance(self._states[src].position, self._states[at].position), 1e-6)
-        d_int = max(distance(self._states[interferer].position, self._states[at].position), 1e-6)
-        mean_margin = (
-            self.model.mean_path_gain_db(d_src)
-            - self.model.mean_path_gain_db(d_int)
-            - CAPTURE_THRESHOLD_DB
-        )
-        sigma = self.model.sigma_db * math.sqrt(2.0)
-        if sigma == 0.0:
-            probability = 1.0 if mean_margin >= 0.0 else 0.0
-        else:
-            probability = normal_cdf(mean_margin / sigma)
-        self._capture_cache[key] = probability
-        return probability
 
     @property
     def active_transmissions(self) -> int:
