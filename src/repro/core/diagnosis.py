@@ -11,12 +11,19 @@ cheater accumulates positive mass.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Iterable
+from typing import Iterable, Tuple
 
 
 class DiagnosisWindow:
     """Moving window of backoff differences for one sender.
+
+    The window is a tuple rebuilt on every update, not a
+    ``deque(maxlen=W)``: the service keeps one window per resident
+    sender, a deque allocates a 64-slot block (~760 bytes) however
+    small ``W`` is, and a deque is always GC-tracked, while the
+    collector untracks a tuple that holds only floats once it has
+    survived one collection.  Together with ``__slots__`` this keeps a
+    window at one tracked object.
 
     Parameters
     ----------
@@ -26,12 +33,16 @@ class DiagnosisWindow:
         ``THRESH`` — slot threshold on the windowed sum.
     """
 
+    __slots__ = ("window", "thresh", "_differences", "_sum",
+                 "observations", "flagged_observations")
+
     def __init__(self, window: int, thresh: float):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
         self.thresh = float(thresh)
-        self._differences: Deque[float] = deque(maxlen=window)
+        #: The last ``W`` differences, oldest first.
+        self._differences: Tuple[float, ...] = ()
         self._sum = 0.0
         #: Number of packets observed (lifetime, not window-limited).
         self.observations = 0
@@ -45,23 +56,20 @@ class DiagnosisWindow:
         sum exceeds ``THRESH`` (the packet "is classified to be from a
         misbehaving sender", the unit of the paper's accuracy metric).
         """
-        if len(self._differences) == self.window:
-            # Recompute instead of subtracting the evicted sample: with
-            # mixed magnitudes the incremental subtract leaves float
-            # residue (adding 1e12 then removing it does not restore
-            # the small-value sum), which would let a huge one-off
-            # spike poison every later verdict.  W is tiny, so the
-            # from-scratch sum costs nothing.
-            self._differences.append(difference)
-            total = 0.0
-            for kept in self._differences:
-                total += kept
-            self._sum = total
-        else:
-            self._differences.append(difference)
-            self._sum += difference
+        # Recompute the sum over the kept window, oldest to newest,
+        # instead of subtracting the evicted sample: with mixed
+        # magnitudes the subtract leaves float residue (adding 1e12
+        # then removing it does not restore the small-value sum), which
+        # would let a huge one-off spike poison every later verdict.
+        # W is tiny, so the from-scratch sum costs nothing.
+        kept = (self._differences + (difference,))[-self.window:]
+        total = 0.0
+        for value in kept:
+            total += value
+        self._differences = kept
+        self._sum = total
         self.observations += 1
-        flagged = self.is_misbehaving
+        flagged = self._sum > self.thresh
         if flagged:
             self.flagged_observations += 1
         return flagged
@@ -79,11 +87,11 @@ class DiagnosisWindow:
     @property
     def contents(self) -> Iterable[float]:
         """Snapshot of the stored differences, oldest first."""
-        return tuple(self._differences)
+        return self._differences
 
     def reset(self) -> None:
         """Forget all history (e.g. after an administrative pardon)."""
-        self._differences.clear()
+        self._differences = ()
         self._sum = 0.0
         self.observations = 0
         self.flagged_observations = 0

@@ -76,14 +76,19 @@ class CwminEstimatorDetector(DetectorBase):
         self._exp_sum = 0.0
 
     def _update(self, observation: Observation) -> bool:
-        if len(self._samples) == self.window_size:
-            old_act, old_exp = self._samples[0]
-            self._act_sum -= old_act
-            self._exp_sum -= old_exp
-        pair = (float(observation.b_act), float(observation.b_exp))
-        self._samples.append(pair)
-        self._act_sum += pair[0]
-        self._exp_sum += pair[1]
+        self._samples.append(
+            (float(observation.b_act), float(observation.b_exp))
+        )
+        # Recompute both sums over the window, oldest to newest, as
+        # DiagnosisWindow.update does: subtracting an evicted huge
+        # b_act leaves float residue in the sum long after the sample
+        # has left the window, and that residue flags honest senders.
+        act_sum = exp_sum = 0.0
+        for act, exp in self._samples:
+            act_sum += act
+            exp_sum += exp
+        self._act_sum = act_sum
+        self._exp_sum = exp_sum
         return self.is_misbehaving
 
     @property

@@ -27,6 +27,7 @@ class WindowDetector:
     """
 
     name = "window"
+    __slots__ = ("window",)
 
     def __init__(self, window: int, thresh: float):
         self.window = DiagnosisWindow(int(window), thresh)

@@ -19,7 +19,11 @@ Verdict bookkeeping happens at the same layer, under the same shard
 lock: each entry tracks its current flag state, a bounded list of
 flag/clear transitions, and its first flag; the store hands a
 :class:`FlagEvent` back to the caller exactly once per tenure so the
-service can publish first-flag notifications.
+service can publish first-flag notifications.  The transitions list is
+allocated lazily, on a sender's first transition: most senders are
+honest and never get one, and the store holds up to ``shards *
+max_entries`` entries, so a ``window`` entry is kept to three GC-tracked
+objects (the entry, its detector and the detector's window).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import time
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from threading import Lock
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -110,18 +114,29 @@ class FlagEvent:
     observations: int
 
 
-@dataclass
 class SenderEntry:
-    """Per-sender state held inside one shard (one tenure)."""
+    """Per-sender state held inside one shard (one tenure).
 
-    detector: Detector
-    first_obs_wall: float
-    first_obs_time_us: int
-    observations: int = 0
-    flagged: bool = False
-    first_flag: Optional[FlagEvent] = None
-    #: Bounded ``(observation_index, "flag"|"clear", time_us)`` log.
-    transitions: List[Tuple[int, str, int]] = field(default_factory=list)
+    Slotted, with no per-instance dict, because the store holds up to
+    ``shards * max_entries`` of these (see the module docstring).
+    """
+
+    __slots__ = ("detector", "first_obs_wall", "first_obs_time_us",
+                 "observations", "flagged", "first_flag", "transitions")
+
+    def __init__(
+        self, detector: Detector, first_obs_wall: float,
+        first_obs_time_us: int,
+    ):
+        self.detector = detector
+        self.first_obs_wall = first_obs_wall
+        self.first_obs_time_us = first_obs_time_us
+        self.observations = 0
+        self.flagged = False
+        self.first_flag: Optional[FlagEvent] = None
+        #: Bounded ``(observation_index, "flag"|"clear", time_us)``
+        #: log, allocated on the first transition.
+        self.transitions: Optional[List[Tuple[int, str, int]]] = None
 
 
 class _Shard:
@@ -202,9 +217,7 @@ class ShardedDetectorStore:
                 else:
                     detector = self.factory()
                 entry = SenderEntry(
-                    detector=detector,
-                    first_obs_wall=time.monotonic(),
-                    first_obs_time_us=observation.time_us,
+                    detector, time.monotonic(), observation.time_us,
                 )
                 entries[sender] = entry
                 if len(entries) > self.max_entries:
@@ -223,6 +236,8 @@ class ShardedDetectorStore:
             if verdict != entry.flagged:
                 entry.flagged = verdict
                 transitions = entry.transitions
+                if transitions is None:
+                    transitions = entry.transitions = []
                 transitions.append((
                     entry.observations,
                     "flag" if verdict else "clear",
@@ -271,7 +286,7 @@ class ShardedDetectorStore:
                 },
                 "transitions": [
                     {"observation": n, "verdict": kind, "time_us": t}
-                    for n, kind, t in entry.transitions
+                    for n, kind, t in entry.transitions or ()
                 ],
             }
 

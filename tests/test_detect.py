@@ -256,6 +256,29 @@ class TestEstimator:
             det.observe(obs(b_exp=20.0, b_act=20.0))
         assert not det.is_misbehaving
 
+    def test_evicted_spike_leaves_no_residue(self):
+        """Once a huge one-off ``b_act`` has left the window, the
+        detector must judge exactly as a fresh one fed the same last
+        ``window`` samples.  Subtracting the evicted spike from the
+        running sums left residue that flagged most honest senders."""
+        window = 64
+        det = CwminEstimatorDetector(window=window)
+        det.observe(obs(b_exp=31.0, b_act=1e18))
+        rng = random.Random(5)
+        honest = []
+        for _ in range(500):
+            b = float(rng.randint(0, 62))
+            honest.append(b)
+            verdict = det.observe(obs(b_exp=b, b_act=b))
+            if len(honest) < window:
+                continue  # the spike is still in the window
+            fresh = CwminEstimatorDetector(window=window)
+            for kept in honest[-window:]:
+                fresh_verdict = fresh.observe(obs(b_exp=kept, b_act=kept))
+            assert det.estimate == fresh.estimate
+            assert verdict == fresh_verdict == fresh.is_misbehaving
+            assert not verdict
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             CwminEstimatorDetector(fraction=0.0)

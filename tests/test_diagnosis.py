@@ -1,5 +1,7 @@
 """Tests for the W/THRESH diagnosis window."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,3 +165,71 @@ class TestWindowEdgeCases:
         win.reset()
         assert win.observations == 0
         assert win.flagged_observations == 0
+
+
+class _DequeWindow:
+    """Reference window over a ``deque(maxlen=W)``, summing the way
+    :class:`DiagnosisWindow` must: incrementally while filling, from
+    scratch oldest to newest once full."""
+
+    def __init__(self, window, thresh):
+        self.window = window
+        self.thresh = thresh
+        self.reset()
+
+    def update(self, difference):
+        if len(self.differences) == self.window:
+            self.differences.append(difference)
+            total = 0.0
+            for kept in self.differences:
+                total += kept
+            self.windowed_sum = total
+        else:
+            self.differences.append(difference)
+            self.windowed_sum += difference
+        self.observations += 1
+        flagged = self.windowed_sum > self.thresh
+        if flagged:
+            self.flagged_observations += 1
+        return flagged
+
+    def reset(self):
+        self.differences = deque(maxlen=self.window)
+        self.windowed_sum = 0.0
+        self.observations = 0
+        self.flagged_observations = 0
+
+
+#: One step of a window stream: a small difference, a +/-1e12 spike,
+#: or ``None`` for a mid-stream ``reset()``.
+window_steps = st.one_of(
+    st.floats(min_value=-100.0, max_value=100.0),
+    st.sampled_from([1e12, -1e12]),
+    st.none(),
+)
+
+
+class TestCompactWindowDifferential:
+    """The tuple-backed window against the deque reference, step by
+    step: sums compare with ``==``, not approximately."""
+
+    @given(
+        w=st.integers(min_value=1, max_value=8),
+        thresh=st.floats(min_value=-50.0, max_value=50.0),
+        steps=st.lists(window_steps, max_size=80),
+    )
+    @settings(max_examples=200)
+    def test_matches_deque_reference(self, w, thresh, steps):
+        win = DiagnosisWindow(window=w, thresh=thresh)
+        ref = _DequeWindow(w, thresh)
+        for step in steps:
+            if step is None:
+                win.reset()
+                ref.reset()
+            else:
+                assert win.update(step) == ref.update(step)
+            assert win.windowed_sum == ref.windowed_sum
+            assert win.is_misbehaving == (ref.windowed_sum > ref.thresh)
+            assert tuple(win.contents) == tuple(ref.differences)
+            assert win.observations == ref.observations
+            assert win.flagged_observations == ref.flagged_observations

@@ -11,11 +11,13 @@ observation stream.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
 import socket
 import threading
+import tracemalloc
 import urllib.request
 
 import pytest
@@ -419,6 +421,32 @@ class TestShardedDetectorStore:
         assert snapshot["flagged"] is True
         assert snapshot["first_flag"]["observations"] == 1
         assert snapshot["shard"] == shard_of("cheat", 4)
+
+    def test_resident_sender_footprint(self):
+        """A resident honest ``window`` sender costs at most 3
+        GC-tracked objects (entry, detector, window) and 600 bytes:
+        the store holds up to ``shards * max_entries`` of them, and
+        every full collection walks each tracked object."""
+        senders = [f"sender-{i:05d}" for i in range(10_000)]
+        honest = [obs(31.0, 31.0, time_us=i) for i in range(7)]
+        store = ShardedDetectorStore(window_factory(), shards=8,
+                                     max_entries=len(senders))
+        gc.collect()
+        tracked_before = len(gc.get_objects())
+        tracemalloc.start()
+        try:
+            bytes_before = tracemalloc.get_traced_memory()[0]
+            for o in honest:  # fills and then wraps every window
+                for sender in senders:
+                    store.observe(sender, o)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - bytes_before
+        finally:
+            tracemalloc.stop()
+        tracked = len(gc.get_objects()) - tracked_before
+        assert len(store) == len(senders)
+        assert tracked / len(senders) <= 3.0
+        assert held / len(senders) <= 600
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="shards"):
