@@ -355,16 +355,25 @@ class ExperimentExecutor:
     ) -> List[Tuple[RunOutcome, float]]:
         """Single-worker execution of a pending batch.
 
-        Generational GC is suspended for the duration of the sweep —
-        collector passes over a sweep's worth of live results cost a
-        measurable slice of wall time.  Each finished run's object
-        graph (MACs, medium, kernel heap) is cyclic garbage that waits
-        for the collection when the caller's GC state is restored.
+        Automatic GC is suspended for the duration of the sweep, so the
+        collector never rescans the results already kept.  Each
+        finished run's object graph (MACs, medium, kernel heap) is
+        cyclic garbage, and while automatic collection is off all of it
+        sits in generation 0.  So, when the caller had GC enabled, a
+        ``gc.collect(0)`` after each run scans only that run's objects
+        and frees its cycles: the sweep holds one run's garbage, not
+        every run's.  The caller's GC state is restored (with a full
+        collection) at the end.
         """
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            return [self._run_inline(config) for config in configs]
+            outcomes = []
+            for config in configs:
+                outcomes.append(self._run_inline(config))
+                if gc_was_enabled:
+                    gc.collect(0)
+            return outcomes
         finally:
             if gc_was_enabled:
                 gc.enable()

@@ -74,6 +74,7 @@ class CorrectMac(DcfMac):
     """
 
     modified_protocol = True
+    counts_idle_slots = True
 
     def __init__(
         self,

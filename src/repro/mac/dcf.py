@@ -90,6 +90,10 @@ class DcfMac:
 
     #: Whether frames carry the CORRECT protocol extension fields.
     modified_protocol = False
+    #: Whether this MAC reads its cumulative idle-slot count.  Only
+    #: then does it build an :class:`IdleSlotCounter` (on its own
+    #: ``idle/<node>`` stream) and feed it on every channel edge.
+    counts_idle_slots = False
 
     def __init__(
         self,
@@ -128,10 +132,12 @@ class DcfMac:
             self._current_ifs,
             self._on_backoff_expired,
         )
-        self.idle_counter = IdleSlotCounter(
-            self.timings.slot_us,
-            rng_registry.stream(f"idle/{node_id}"),
-            difs_us=self.timings.difs_us,
+        self.idle_counter: Optional[IdleSlotCounter] = (
+            IdleSlotCounter(
+                self.timings.slot_us,
+                rng_registry.stream(f"idle/{node_id}"),
+                difs_us=self.timings.difs_us,
+            ) if self.counts_idle_slots else None
         )
         self.exchange_timing = ExchangeTiming(
             self.timings, payload_bytes, self.modified_protocol
@@ -218,7 +224,8 @@ class DcfMac:
         if trace is not None:
             trace.record(self.sim.now, "mac_restart", self.node_id)
         self._crashed = False
-        self.idle_counter.resync(self.sim.now)
+        if self.idle_counter is not None:
+            self.idle_counter.resync(self.sim.now)
         self._update_blocked()
         self._try_dequeue()
 
@@ -231,21 +238,22 @@ class DcfMac:
         # transmission), so the ``IdleSlotCounter.set_strong(True)``
         # and ``set_blocked(True)`` chains are inlined — semantics are
         # identical, the per-edge call depth is not.
-        now = self.sim.now
         ic = self.idle_counter
-        ic._last_now = now
-        if not ic._strong:
-            cursor = ic._cursor
-            if now > cursor:
-                whole = (now - cursor) // ic.slot_us
-                if whole > 0:
-                    p = ic._marginal_p
-                    if p <= 0.0:
-                        ic._slots += whole
-                    elif p < 1.0:
-                        ic._slots += whole - binomial(ic.rng, whole, p)
-            ic._strong = True
-        ic._cursor = now
+        if ic is not None:
+            now = self.sim.now
+            ic._last_now = now
+            if not ic._strong:
+                cursor = ic._cursor
+                if now > cursor:
+                    whole = (now - cursor) // ic.slot_us
+                    if whole > 0:
+                        p = ic._marginal_p
+                        if p <= 0.0:
+                            ic._slots += whole
+                        elif p < 1.0:
+                            ic._slots += whole - binomial(ic.rng, whole, p)
+                ic._strong = True
+            ic._cursor = now
         # A strong-busy edge always blocks the timer, whatever the NAV
         # or responder state says.
         timer = self.timer
@@ -271,11 +279,12 @@ class DcfMac:
             trace.record(self.sim.now, "defer", self.node_id, ifs_us=ifs)
         now = self.sim.now
         ic = self.idle_counter
-        # set_strong(False): while strong no slots accrued, the clock
-        # realigns at the edge and counting resumes an IFS later.
-        ic._last_now = now
-        ic._strong = False
-        ic._cursor = now + ifs
+        if ic is not None:
+            # set_strong(False): while strong no slots accrued, the clock
+            # realigns at the edge and counting resumes an IFS later.
+            ic._last_now = now
+            ic._strong = False
+            ic._cursor = now + ifs
         blocked = now < self._nav_until or self._responding
         timer = self.timer
         if blocked != timer.blocked:
@@ -294,23 +303,24 @@ class DcfMac:
         # of values in [0, 1] stays in [0, 1] so the range check cannot
         # fire, and ``now`` comes off the (monotonic) kernel clock so
         # the backwards-clock guard cannot fire either.
-        now = self.sim.now
         ic = self.idle_counter
-        cursor = ic._cursor
-        if not ic._strong:
-            if now > cursor:
-                whole = (now - cursor) // ic.slot_us
-                if whole > 0:
-                    op = ic._marginal_p
-                    if op <= 0.0:
-                        ic._slots += whole
-                    elif op < 1.0:
-                        ic._slots += whole - binomial(ic.rng, whole, op)
-                    ic._cursor = cursor + whole * ic.slot_us
-        elif now > cursor:
-            ic._cursor = now
-        ic._last_now = now
-        ic._marginal_p = p
+        if ic is not None:
+            now = self.sim.now
+            cursor = ic._cursor
+            if not ic._strong:
+                if now > cursor:
+                    whole = (now - cursor) // ic.slot_us
+                    if whole > 0:
+                        op = ic._marginal_p
+                        if op <= 0.0:
+                            ic._slots += whole
+                        elif op < 1.0:
+                            ic._slots += whole - binomial(ic.rng, whole, op)
+                        ic._cursor = cursor + whole * ic.slot_us
+            elif now > cursor:
+                ic._cursor = now
+            ic._last_now = now
+            ic._marginal_p = p
         timer = self.timer
         if timer.active and timer._state == "counting":
             timer.marginal_changed()

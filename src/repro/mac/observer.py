@@ -78,6 +78,7 @@ class ObserverMac(DcfMac):
     """
 
     modified_protocol = True
+    counts_idle_slots = True
 
     def __init__(
         self,

@@ -45,6 +45,22 @@ from typing import Callable, Dict, List, Optional, Tuple
 # fire-and-forget patterns profiled by ``REPRO_PROFILE`` — transmission
 # completions, SIFS-spaced response chains, IFS waits that are never
 # cancelled — where allocating a handle per event is pure overhead.
+#
+# A cancelled handle stays in the heap as a *tombstone* until it is
+# popped or the heap is compacted.  The simulator counts its tombstones
+# and, once they outnumber the live entries (and exceed
+# ``COMPACT_MIN_TOMBSTONES``), rebuilds the heap in place without them
+# -- the rule asyncio's event loop uses for its timer heap.  Live
+# entries keep their unique ``(time, seq)`` keys, so re-heapifying them
+# cannot change the dispatch order.  The heap therefore never holds
+# more than ``2 * live + COMPACT_MIN_TOMBSTONES`` entries, and each
+# cancel costs amortised O(1): a rebuild touches at most twice as many
+# entries as there were cancels since the previous one.
+
+
+#: Tombstones tolerated before the heap may be compacted, so small
+#: queues never pay for a rebuild.
+COMPACT_MIN_TOMBSTONES = 64
 
 
 #: Effectively-infinite horizon sentinel: comparing against one int is
@@ -114,23 +130,32 @@ def _describe_callback(callback: Callable[[], None]) -> str:
 class EventHandle:
     """A cancellable handle for a scheduled callback.
 
-    Cancellation is lazy: the heap entry stays queued but is skipped
-    when popped.  This is O(1) and is the standard approach for
+    Cancellation is lazy: the heap entry becomes a tombstone that is
+    skipped when popped, or dropped earlier when the simulator compacts
+    its heap.  This is amortised O(1) and is the standard approach for
     simulators with frequent timer cancellation (MAC timeouts are
     cancelled on nearly every successful frame exchange).
     """
 
-    __slots__ = ("time", "callback", "cancelled", "fired")
+    __slots__ = ("time", "callback", "cancelled", "fired", "_sim")
 
-    def __init__(self, time: int, callback: Callable[[], None]):
+    def __init__(self, time: int, callback: Callable[[], None],
+                 sim: "Simulator"):
         self.time = time
         self.callback = callback
         self.cancelled = False
         self.fired = False
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Safe to call repeatedly."""
+        if self.cancelled:
+            return
         self.cancelled = True
+        if not self.fired:
+            sim = self._sim
+            sim._tombstones += 1
+            sim._compact_if_due()
 
     @property
     def pending(self) -> bool:
@@ -163,6 +188,8 @@ class Simulator:
                  watchdog: Optional["Watchdog"] = None):
         self.now: int = 0
         self._queue: list[tuple[int, int, EventHandle]] = []
+        #: Cancelled handles still in ``_queue``.
+        self._tombstones = 0
         self._seq = itertools.count()
         self._default_until = until
         self._running = False
@@ -186,7 +213,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         time = self.now + delay
-        handle = EventHandle(time, callback)
+        handle = EventHandle(time, callback, self)
         heapq.heappush(self._queue, (time, next(self._seq), handle))
         return handle
 
@@ -196,7 +223,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time}, current time is {self.now}"
             )
-        handle = EventHandle(time, callback)
+        handle = EventHandle(time, callback, self)
         heapq.heappush(self._queue, (time, next(self._seq), handle))
         return handle
 
@@ -255,6 +282,7 @@ class Simulator:
         heappop = heapq.heappop
         profile = self._profile
         handle_cls = EventHandle
+        floor = COMPACT_MIN_TOMBSTONES
         limit = INFINITE_TIME if horizon is None else horizon
         events = self.events_processed
         try:
@@ -267,11 +295,16 @@ class Simulator:
                 obj = entry[2]
                 if obj.__class__ is handle_cls:
                     if obj.cancelled:
+                        self._tombstones -= 1
                         continue
                     obj.fired = True
                     callback = obj.callback
                 else:
                     callback = obj
+                # Inlined ``_compact_if_due`` (hot: once per event).
+                tombstones = self._tombstones
+                if tombstones > floor and 2 * tombstones > len(queue):
+                    self._compact()
                 if event_time < self.now:  # pragma: no cover - defensive
                     raise SimulationError("event queue went backwards in time")
                 self.now = event_time
@@ -311,11 +344,13 @@ class Simulator:
             obj = entry[2]
             if obj.__class__ is handle_cls:
                 if obj.cancelled:
+                    self._tombstones -= 1
                     continue
                 obj.fired = True
                 callback = obj.callback
             else:
                 callback = obj
+            self._compact_if_due()
             if event_time < self.now:  # pragma: no cover - defensive
                 raise SimulationError("event queue went backwards in time")
             if dog.max_sim_us is not None and event_time > dog.max_sim_us:
@@ -357,9 +392,35 @@ class Simulator:
             obj = self._queue[0][2]
             if obj.__class__ is EventHandle and obj.cancelled:
                 heapq.heappop(self._queue)
+                self._tombstones -= 1
             else:
                 break
         return self._queue[0][0] if self._queue else None
+
+    def _compact_if_due(self) -> None:
+        """Compact once tombstones outnumber live entries (past the floor).
+
+        Checked after every cancel and every live pop: those are the
+        only operations that move the tombstone/live balance upwards.
+        """
+        tombstones = self._tombstones
+        if (tombstones > COMPACT_MIN_TOMBSTONES
+                and 2 * tombstones > len(self._queue)):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heap in place without its tombstones.
+
+        In place, because the dispatch loops hold the list in a local.
+        """
+        queue = self._queue
+        handle_cls = EventHandle
+        queue[:] = [
+            entry for entry in queue
+            if entry[2].__class__ is not handle_cls or not entry[2].cancelled
+        ]
+        heapq.heapify(queue)
+        self._tombstones = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.sender_policy import PartialCountdownPolicy
+from repro.mac.correct import CorrectMac
 from repro.mac.dcf import DcfMac
 
 from tests.conftest import World
@@ -141,3 +142,26 @@ class TestNavAndEifs:
         delivered = sum(w.collector.flows[i].delivered_packets for i in (1, 2))
         rts = sum(n.mac.rts_sent for n in w.nodes if n.source is not None)
         assert delivered / rts > 0.7
+
+
+class TestIdleSlotCounting:
+    """Only MACs that read their idle-slot count build and feed one."""
+
+    @pytest.mark.parametrize("mac_cls,counts", [
+        (DcfMac, False), (CorrectMac, True),
+    ])
+    def test_idle_stream_exists_only_where_it_is_read(self, mac_cls, counts):
+        # Shadowed links 550 m apart are sensed marginally, so every
+        # node sees marginal edges that would feed a counter.
+        w = World(sigma_db=1.0)
+        w.add_receiver(mac_cls, 0, (0.0, 0.0))
+        w.add_sender(mac_cls, 1, (150.0, 0.0), dst=0)
+        w.add_receiver(mac_cls, 2, (550.0, 0.0))
+        w.add_sender(mac_cls, 3, (700.0, 0.0), dst=2)
+        w.run(300_000)
+        for node in w.nodes:
+            node_id = node.mac.node_id
+            assert w.registry.has_stream(f"idle/{node_id}") is counts
+            assert (node.mac.idle_counter is not None) is counts
+        if counts:
+            assert w.nodes[0].mac.idle_counter.idle_slots(w.sim.now) > 0

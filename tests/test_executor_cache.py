@@ -256,6 +256,25 @@ class TestGcSuspension:
         finally:
             gc.enable()
 
+    def test_each_finished_run_is_collected(self, monkeypatch):
+        """The sweep holds one run's garbage, not every run's: while GC
+        is suspended everything new sits in generation 0, so its size
+        at the start of each run must not grow with the runs before."""
+        from repro.experiments import executor as executor_module
+
+        young = []
+        timed_run = executor_module._timed_run
+
+        def probed(config):
+            young.append(len(gc.get_objects(generation=0)))
+            return timed_run(config)
+
+        monkeypatch.setattr(executor_module, "_timed_run", probed)
+        with ExperimentExecutor(workers=1, cache=None) as ex:
+            ex.run([config().with_seed(s) for s in range(1, 7)])
+        assert len(young) == 6
+        assert max(young[2:]) <= young[1] + 100
+
 
 class ExplodingPolicy(ConformingPolicy):
     """Raises on the first backoff countdown (a deterministic crasher)."""
