@@ -3,9 +3,7 @@
 The campaign journal buys durability with one fsync per settled run.
 This module measures what that costs against the same sweep collected
 purely in memory (``ExperimentExecutor.run`` alone, no journal, no
-summary rewrites) and appends both timings to
-``benchmarks/BENCH_campaign.json`` in the ``BENCH_engine.json``
-trajectory format, so the overhead is tracked PR over PR.
+summary rewrites).
 
 Gates:
 
@@ -21,9 +19,7 @@ Gates:
 import hashlib
 import json
 import os
-import pathlib
 import time
-from datetime import datetime, timezone
 
 from repro.experiments.campaign import (
     CampaignAggregator,
@@ -36,8 +32,6 @@ from repro.experiments.campaign import (
 from repro.experiments.campaign.journal import METRIC_FIELDS
 from repro.experiments.executor import ExperimentExecutor
 
-TRAJECTORY_PATH = pathlib.Path(__file__).parent / "BENCH_campaign.json"
-TRAJECTORY_CAP = 200
 #: Tolerated journal overhead vs the in-memory sweep (CI gate).
 OVERHEAD_TOLERANCE = 0.05
 
@@ -62,15 +56,6 @@ def _metric_signature(metric_rows):
     return hashlib.sha256(
         json.dumps(metric_rows, sort_keys=True).encode()
     ).hexdigest()[:16]
-
-
-def _load_trajectory():
-    if TRAJECTORY_PATH.exists():
-        return json.loads(TRAJECTORY_PATH.read_text())
-    return {"schema": 1,
-            "workload": "journaled campaign vs in-memory sweep, "
-                        "circle:3 PM x seed grid",
-            "baselines": {}, "trajectory": []}
 
 
 def _time_campaign_machinery(out_dir, cells, metric_rows):
@@ -114,7 +99,7 @@ def _time_campaign_machinery(out_dir, cells, metric_rows):
     return time.perf_counter() - start
 
 
-def test_journal_overhead_trajectory(tmp_path, monkeypatch):
+def test_journal_overhead(tmp_path, monkeypatch):
     # The run cache would let the second sweep replay the first one's
     # results and fake a near-zero wall time; measure uncached.
     monkeypatch.delenv("REPRO_CACHE", raising=False)
@@ -162,15 +147,15 @@ def test_journal_overhead_trajectory(tmp_path, monkeypatch):
 
     # Durability must not perturb results: same cells, same metrics,
     # same order — checked on every run, gated or not.
-    signature = _metric_signature(journaled_metrics)
-    assert signature == _metric_signature(memory_metrics), (
+    assert _metric_signature(journaled_metrics) \
+        == _metric_signature(memory_metrics), (
         "journaled campaign metrics diverge from the in-memory sweep"
     )
 
-    # The paired-sweep delta (`overhead_paired`) is trajectory data
-    # only: on a shared box, scheduler noise across two ~1 s sweeps
-    # easily exceeds the few-percent effect.  The *gate* times the
-    # durability machinery directly — the exact extra work the
+    # The paired-sweep delta is reported, not gated: on a shared box,
+    # scheduler noise across two ~1 s sweeps easily exceeds the
+    # few-percent effect.  The *gate* times the durability machinery
+    # directly — the exact extra work the
     # campaign does on top of the executor sweep (fingerprinting,
     # journal appends + per-chunk fsync, aggregation, atomic summary
     # rewrites) — which is deterministic enough to bound.
@@ -178,25 +163,10 @@ def test_journal_overhead_trajectory(tmp_path, monkeypatch):
         tmp_path / "machinery", cells, journaled_metrics
     )
     overhead = machinery_wall / memory_wall
-    record = {
-        "utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "scale": scale,
-        "runs": len(cells),
-        "signature": signature,
-        "journal": {"wall_s": round(journal_wall, 3)},
-        "memory": {"wall_s": round(memory_wall, 3)},
-        "machinery": {"wall_s": round(machinery_wall, 4)},
-        "overhead": round(overhead, 4),
-        "overhead_paired": round(journal_wall / memory_wall - 1.0, 4),
-    }
-
-    data = _load_trajectory()
-    baseline = data["baselines"].get(scale)
-    if baseline is None or os.environ.get("REPRO_BENCH_REBASE"):
-        data["baselines"][scale] = record
-        baseline = record
-    data["trajectory"] = (data["trajectory"] + [record])[-TRAJECTORY_CAP:]
-    TRAJECTORY_PATH.write_text(json.dumps(data, indent=2) + "\n")
+    print(f"\n[{scale}] {len(cells)} runs: journal {journal_wall:.3f}s, "
+          f"memory {memory_wall:.3f}s, machinery {machinery_wall:.4f}s "
+          f"(overhead {overhead:.2%}, paired "
+          f"{journal_wall / memory_wall - 1.0:+.2%})")
 
     if os.environ.get("REPRO_BENCH_GATE"):
         assert overhead <= OVERHEAD_TOLERANCE, (

@@ -94,14 +94,10 @@ command exits with status 3 so scripts notice the degradation.
         python -m repro serve --emit-trace --pm 60 --seconds 2 > trace.jsonl
         python -m repro serve --stdin --port 8765 < trace.jsonl
         python -m repro serve --tcp 9000 --port 8765 --detector cusum:h=2.0
-        python -m repro serve --bench
 
     ``--emit-trace`` records a simulation's judged-observation stream
     as wire JSONL (the service replays it to verdicts bit-identical
-    to the in-sim monitor's).  ``--bench`` runs the Zipf load
-    generator against the ingest hot path and appends sustained
-    observations/sec and p99 first-sight-to-flag latency to
-    ``benchmarks/BENCH_service.json``.
+    to the in-sim monitor's).
 
 ``theory``
     Print the Bianchi saturation predictions next to simulated values
@@ -576,8 +572,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.emit_trace:
         return _serve_emit_trace(args)
-    if args.bench:
-        return _serve_bench(args)
     return _serve_forever(args)
 
 
@@ -621,62 +615,6 @@ def _serve_emit_trace(args: argparse.Namespace) -> int:
         out.write("\n")
     print(f"emitted {len(records)} observation(s) from "
           f"{len({r.sender for r in records})} sender(s)", file=sys.stderr)
-    return 0
-
-
-def _serve_bench(args: argparse.Namespace) -> int:
-    import dataclasses
-    import json as _json
-    import pathlib
-    from datetime import datetime, timezone
-
-    from repro.service import BENCH_SCALES, run_bench
-    from repro.service.loadgen import append_trajectory
-
-    scale = args.bench_scale
-    if scale is None:
-        import os
-
-        scale = "quick" if os.environ.get("REPRO_QUICK") else "bench"
-    base = BENCH_SCALES[scale]
-    overrides = {}
-    if args.shards is not None:
-        overrides["shards"] = args.shards
-    if args.max_entries is not None:
-        overrides["max_entries"] = args.max_entries
-    if args.detector != "window":
-        overrides["detector"] = args.detector
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    config = dataclasses.replace(base, **overrides)
-    # Multi-worker runs land under their own per-scale baseline key:
-    # a 4-worker obs/sec is not comparable to the in-process number.
-    scale_key = scale if config.workers == 1 else f"{scale}-w{config.workers}"
-
-    result = run_bench(config)
-    record = result.to_record()
-    record["utc"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    record["scale"] = scale_key
-    if args.bench_out != "-":
-        append_trajectory(pathlib.Path(args.bench_out), scale_key, record)
-
-    if args.json:
-        print(_json.dumps(record, indent=2))
-        return 0
-    p99 = record["p99_flag_latency_ms"]
-    print(f"service bench [{scale_key}]: detector={config.detector} "
-          f"shards={config.shards} x {config.max_entries} entries, "
-          f"workers={config.workers} ({record['cores']} core(s))")
-    print(f"  observations:      {result.observations:>12,}")
-    print(f"  distinct senders:  {result.distinct_senders:>12,}")
-    print(f"  sustained rate:    {result.obs_per_sec:>12,.0f} obs/sec")
-    print(f"  p99 flag latency:  "
-          f"{'-' if p99 is None else f'{p99:,.1f} ms':>12}")
-    print(f"  flagged/cheaters:  {result.flagged:>6,}/{result.cheaters:,} "
-          f"(honest false flags: 0, asserted)")
-    print(f"  evictions:         {result.evictions:>12,}")
-    if args.bench_out != "-":
-        print(f"  trajectory:        {args.bench_out}")
     return 0
 
 
@@ -942,8 +880,7 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--workers", type=int, default=None, metavar="N",
                          help="ingest worker processes, each owning a "
                               "disjoint crc32 sender range (default: "
-                              "REPRO_SERVICE_WORKERS or 1 = in-process); "
-                              "with --bench, benches the worker pool")
+                              "REPRO_SERVICE_WORKERS or 1 = in-process)")
     p_serve.add_argument("--spool-dir", default=None, metavar="DIR",
                          help="persist first-flag events to crc32-"
                               "checksummed spools in DIR; a restarted "
@@ -978,18 +915,6 @@ def main(argv: list[str] | None = None) -> int:
                               "(default: 0.5)")
     p_serve.add_argument("--seed", type=int, default=1,
                          help="emit-trace: simulation seed (default: 1)")
-    p_serve.add_argument("--bench", action="store_true",
-                         help="run the Zipf sustained-throughput bench "
-                              "(no server)")
-    p_serve.add_argument("--bench-scale",
-                         choices=["quick", "bench", "full"], default=None,
-                         help="bench geometry (default: bench, or quick "
-                              "under REPRO_QUICK)")
-    p_serve.add_argument("--bench-out",
-                         default="benchmarks/BENCH_service.json",
-                         help="bench trajectory file ('-' = don't write)")
-    p_serve.add_argument("--json", action="store_true",
-                         help="bench: print the record as JSON")
     p_serve.set_defaults(func=_cmd_serve)
 
     if argv is None:

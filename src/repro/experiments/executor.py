@@ -32,11 +32,6 @@ budget becomes a :class:`FailedRun` placeholder: with
 render the point as FAILED and the CLI exits nonzero), with the
 default ``on_failure="raise"`` the batch raises
 :class:`RunFailedError` after completing everything else.
-
-With ``REPRO_PROFILE`` set, executed batches report per-run wall time,
-events processed and events/sec (plus a per-subsystem event breakdown
-when the kernel collected one) on stderr.  Profiling never touches RNG
-streams; simulated results are bit-identical with it on or off.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ from __future__ import annotations
 import concurrent.futures as cf
 import gc
 import os
-import sys
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -61,7 +55,6 @@ from repro.experiments.cache import (
 from repro.experiments.scenarios import RunResult, ScenarioConfig, run_scenario
 from repro.experiments.settings import (
     max_retries as default_max_retries,
-    profile_enabled,
     run_timeout_s as default_run_timeout_s,
 )
 
@@ -91,7 +84,12 @@ def default_workers() -> int:
 
 
 def _timed_run(config: ScenarioConfig) -> Tuple[RunResult, float]:
-    """Pool task: run one scenario, measuring its wall time."""
+    """Pool task: run one scenario, measuring its wall time.
+
+    The executor keeps only the result; the ``(result, wall_s)`` pair
+    is the hook ``perfbench``'s tracer wraps to ship per-run traces
+    back from pool workers.
+    """
     start = time.perf_counter()
     result = run_scenario(config)
     return result, time.perf_counter() - start
@@ -153,8 +151,6 @@ class ExperimentExecutor:
     cache:
         A :class:`RunCache`, or None to use the env-selected cache
         (``REPRO_CACHE`` / ``REPRO_CACHE_DIR``; off by default).
-    profile:
-        Emit per-run profiling to stderr; defaults to ``REPRO_PROFILE``.
     run_timeout_s:
         Wall-clock budget per task; a run still going after this long
         has its worker killed and counts as a (retryable) failure.
@@ -189,7 +185,6 @@ class ExperimentExecutor:
         self,
         workers: Optional[int] = None,
         cache: Optional[RunCache] = None,
-        profile: Optional[bool] = None,
         run_timeout_s: Optional[float] = None,
         max_retries: Optional[int] = None,
         retry_backoff_s: float = 0.5,
@@ -204,7 +199,6 @@ class ExperimentExecutor:
                 f"on_failure must be 'raise' or 'flag', got {on_failure!r}"
             )
         self.cache = cache if cache is not None else active_cache()
-        self.profile = profile if profile is not None else profile_enabled()
         self.run_timeout_s = (
             run_timeout_s if run_timeout_s is not None
             else default_run_timeout_s()
@@ -324,15 +318,13 @@ class ExperimentExecutor:
                     continue
             pending.append(index)
         if pending:
-            timed = self._execute([configs[i] for i in pending])
-            for index, (outcome, wall_s) in zip(pending, timed):
+            outcomes = self._execute([configs[i] for i in pending])
+            for index, outcome in zip(pending, outcomes):
                 results[index] = outcome
                 if isinstance(outcome, RunResult):
                     self.runs_executed += 1
                     if self.cache is not None:
                         self.cache.put(configs[index], outcome)
-            if self.profile:
-                self._report([configs[i] for i in pending], timed)
         for dup, source in aliases:
             results[dup] = results[source]
         failures = [r for r in results if isinstance(r, FailedRun)]
@@ -340,9 +332,7 @@ class ExperimentExecutor:
             raise RunFailedError(failures)
         return results  # type: ignore[return-value]
 
-    def _execute(
-        self, configs: List[ScenarioConfig]
-    ) -> List[Tuple[RunOutcome, float]]:
+    def _execute(self, configs: List[ScenarioConfig]) -> List[RunOutcome]:
         # Inline only when the executor itself is single-worker: a
         # pool-backed executor must isolate even a one-config batch,
         # otherwise a crashing run takes the parent process with it.
@@ -352,7 +342,7 @@ class ExperimentExecutor:
 
     def _run_inline_sweep(
         self, configs: List[ScenarioConfig]
-    ) -> List[Tuple[RunOutcome, float]]:
+    ) -> List[RunOutcome]:
         """Single-worker execution of a pending batch.
 
         Automatic GC is suspended for the duration of the sweep, so the
@@ -388,29 +378,26 @@ class ExperimentExecutor:
         if delay > 0:
             time.sleep(delay)
 
-    def _run_inline(self, config: ScenarioConfig) -> Tuple[RunOutcome, float]:
+    def _run_inline(self, config: ScenarioConfig) -> RunOutcome:
         attempts = 0
         while True:
             attempts += 1
             try:
-                return _timed_run(config)
+                return _timed_run(config)[0]
             except Exception as exc:
                 if attempts > self.max_retries:
                     self.runs_failed += 1
-                    return (
-                        FailedRun(
-                            config=config,
-                            error=f"{type(exc).__name__}: {exc}",
-                            attempts=attempts,
-                        ),
-                        0.0,
+                    return FailedRun(
+                        config=config,
+                        error=f"{type(exc).__name__}: {exc}",
+                        attempts=attempts,
                     )
                 self.runs_retried += 1
                 self._backoff(attempts)
 
     def _run_supervised(
         self, configs: List[ScenarioConfig]
-    ) -> List[Tuple[RunOutcome, float]]:
+    ) -> List[RunOutcome]:
         """Submit-per-task pool execution with timeouts and crash recovery.
 
         The loop keeps a queue of ``(index, retries_used)`` entries and
@@ -433,9 +420,7 @@ class ExperimentExecutor:
         are additionally capped (defensive backstop) so even a host
         that kills every worker cannot loop forever.
         """
-        outcomes: List[Optional[Tuple[RunOutcome, float]]] = (
-            [None] * len(configs)
-        )
+        outcomes: List[Optional[RunOutcome]] = [None] * len(configs)
         queue = deque((i, 0) for i in range(len(configs)))
         inflight: Dict[cf.Future, Tuple[int, int]] = {}
         started: Dict[cf.Future, float] = {}
@@ -450,13 +435,10 @@ class ExperimentExecutor:
                 queue.append((index, retries_used + 1))
             else:
                 self.runs_failed += 1
-                outcomes[index] = (
-                    FailedRun(
-                        config=configs[index],
-                        error=error,
-                        attempts=retries_used + 1,
-                    ),
-                    0.0,
+                outcomes[index] = FailedRun(
+                    config=configs[index],
+                    error=error,
+                    attempts=retries_used + 1,
                 )
 
         while queue or inflight:
@@ -488,7 +470,7 @@ class ExperimentExecutor:
                 index, retries_used = inflight.pop(future)
                 started.pop(future, None)
                 try:
-                    outcomes[index] = future.result()
+                    outcomes[index] = future.result()[0]
                 except BrokenProcessPool:
                     broken = True
                     if quarantine:
@@ -539,60 +521,11 @@ class ExperimentExecutor:
                 started.clear()
         # Defensive: every slot must have been settled by the loop.
         return [
-            outcome if outcome is not None else (
-                FailedRun(
-                    config=configs[i], error="internal: task lost",
-                    attempts=0,
-                ), 0.0,
+            outcome if outcome is not None else FailedRun(
+                config=configs[i], error="internal: task lost", attempts=0,
             )
             for i, outcome in enumerate(outcomes)
         ]
-
-    # ------------------------------------------------------------------
-    # Profiling
-    # ------------------------------------------------------------------
-    def _report(
-        self,
-        configs: List[ScenarioConfig],
-        timed: List[Tuple[RunOutcome, float]],
-    ) -> None:
-        out = sys.stderr
-        total_wall = 0.0
-        total_events = 0
-        subsystems: Dict[str, int] = {}
-        for config, (result, wall_s) in zip(configs, timed):
-            if isinstance(result, FailedRun):
-                print(
-                    f"[profile] seed={config.seed} proto={config.protocol} "
-                    f"FAILED after {result.attempts} attempts: {result.error}",
-                    file=out,
-                )
-                continue
-            rate = result.events_processed / wall_s if wall_s > 0 else 0.0
-            total_wall += wall_s
-            total_events += result.events_processed
-            print(
-                f"[profile] seed={config.seed} proto={config.protocol} "
-                f"n={len(config.topology.flows)} wall={wall_s:.3f}s "
-                f"events={result.events_processed} rate={rate:,.0f} ev/s",
-                file=out,
-            )
-            for module, count in result.event_counts.items():
-                subsystems[module] = subsystems.get(module, 0) + count
-        rate = total_events / total_wall if total_wall > 0 else 0.0
-        print(
-            f"[profile] batch: {len(timed)} runs wall={total_wall:.3f}s "
-            f"(cumulative) events={total_events} rate={rate:,.0f} ev/s",
-            file=out,
-        )
-        for module, count in sorted(
-            subsystems.items(), key=lambda kv: -kv[1]
-        ):
-            share = 100.0 * count / total_events if total_events else 0.0
-            print(
-                f"[profile]   {module}: {count} events ({share:.1f}%)",
-                file=out,
-            )
 
 
 class BatchHandle:

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.core.params import PAPER_CONFIG, ProtocolConfig
 from repro.detect import detector_factory
-from repro.experiments.settings import profile_enabled, watchdog_from_env
+from repro.experiments.settings import watchdog_from_env
 from repro.core.sender_policy import ConformingPolicy, policy_for_pm
 from repro.faults import FaultInjector, FaultProfile
 from repro.mac.correct import CorrectMac
@@ -96,16 +96,11 @@ class ScenarioConfig:
 
 @dataclass
 class RunResult:
-    """Outcome of one simulation run.
-
-    ``event_counts`` holds the kernel's per-subsystem dispatch tallies
-    when the run was profiled (``REPRO_PROFILE``); empty otherwise.
-    """
+    """Outcome of one simulation run."""
 
     config: ScenarioConfig
     collector: MetricsCollector
     events_processed: int
-    event_counts: Dict[str, int] = field(default_factory=dict)
     #: Nonzero fault-injector counters (frames dropped/corrupted, jam
     #: bursts, crashes...); empty when the run had no fault profile.
     faults_injected: Dict[str, int] = field(default_factory=dict)
@@ -201,17 +196,15 @@ def _make_mac(config: ScenarioConfig, sim, medium, registry, collector,
     raise ValueError(f"unknown protocol {config.protocol!r}")
 
 
-def build_scenario(config: ScenarioConfig, profile: Optional[bool] = None,
+def build_scenario(config: ScenarioConfig,
                    watchdog: Optional[Watchdog] = None, trace=None):
     """Construct (but do not run) a scenario; returns (sim, nodes, collector).
 
     Exposed separately from :func:`run_scenario` for tests that want
-    to poke at intermediate state.  ``profile`` turns on the kernel's
-    per-subsystem event counters (default: the ``REPRO_PROFILE`` env
-    flag); counting never perturbs RNG streams or results.
-    ``watchdog`` arms the kernel's guarded loop (default: whatever
-    ``REPRO_MAX_EVENTS``/``REPRO_MAX_WALL`` ask for); the guards only
-    raise, they never perturb results either.
+    to poke at intermediate state.  ``watchdog`` arms the kernel's
+    guarded loop (default: whatever ``REPRO_MAX_EVENTS``/
+    ``REPRO_MAX_WALL`` ask for); the guards only raise, they never
+    perturb results.
 
     ``trace`` optionally attaches a :class:`~repro.sim.trace.TraceLog`
     to the medium before any node is built, so MAC decisions are
@@ -224,8 +217,6 @@ def build_scenario(config: ScenarioConfig, profile: Optional[bool] = None,
     medium and MACs, and left on ``sim.fault_injector`` for callers
     that want its counters.
     """
-    if profile is None:
-        profile = profile_enabled()
     if watchdog is None:
         watchdog = watchdog_from_env()
     faults = config.faults
@@ -235,7 +226,7 @@ def build_scenario(config: ScenarioConfig, profile: Optional[bool] = None,
         {d.node: d.drift_ppm for d in faults.clock_drifts} if faults else {}
     )
     topo = config.topology
-    sim = Simulator(profile=profile, watchdog=watchdog)
+    sim = Simulator(watchdog=watchdog)
     sim.fault_injector = None
     registry = RngRegistry(config.seed)
     medium = Medium(
@@ -292,6 +283,5 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     return RunResult(
         config=config, collector=collector,
         events_processed=sim.events_processed,
-        event_counts=dict(sim.event_counts),
         faults_injected=injector.summary() if injector is not None else {},
     )

@@ -17,9 +17,6 @@ Beyond the scale selection this module also centralises the other
   :func:`repro.experiments.executor.default_workers`);
 * ``REPRO_CACHE``   — enable the content-addressed run cache
   (:mod:`repro.experiments.cache`);
-* ``REPRO_PROFILE`` — emit per-run wall-time / events-per-second
-  profiling from the executor (results are unchanged; the hooks only
-  count, they never touch RNG streams);
 * ``REPRO_RUN_TIMEOUT`` — per-run wall-clock timeout in seconds
   enforced by the executor's supervision loop (unset: no timeout);
 * ``REPRO_RETRIES`` — retry budget per task for transient worker
@@ -138,11 +135,6 @@ def env_flag(name: str) -> bool:
     """True when env var ``name`` is set to a non-empty value != "0"."""
     value = os.environ.get(name, "")
     return bool(value) and value != "0"
-
-
-def profile_enabled() -> bool:
-    """Whether ``REPRO_PROFILE`` asks for executor profiling output."""
-    return env_flag("REPRO_PROFILE")
 
 
 def cache_enabled() -> bool:

@@ -31,9 +31,9 @@ This package hosts any registered :mod:`repro.detect` family that way:
   judged-observation stream and replays it through the service;
   served verdicts are bit-identical to in-sim ones;
 * :mod:`~repro.service.loadgen` — Zipf load generator and the
-  sustained-throughput benchmark behind ``python -m repro serve
-  --bench`` and ``benchmarks/BENCH_service.json`` (single- and
-  multi-worker modes).
+  sustained-throughput benchmark behind
+  ``benchmarks/test_bench_service.py`` and perfbench's ``service-w1``
+  and ``service-w2`` workloads (single- and multi-worker modes).
 
 See ``docs/SERVICE.md`` for the architecture, the API reference, and
 the bounded-memory and bench semantics.

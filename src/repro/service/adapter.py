@@ -149,7 +149,6 @@ def record_scenario_stream(
     result = RunResult(
         config=config, collector=collector,
         events_processed=sim.events_processed,
-        event_counts=dict(sim.event_counts),
         faults_injected=injector.summary() if injector is not None else {},
     )
     return records, result

@@ -21,9 +21,7 @@ ingest hot path, and reports:
 * eviction/occupancy/flag counters, plus the correctness invariants
   the bench asserts (no honest sender ever flagged; cheaters flag).
 
-The trajectory file ``benchmarks/BENCH_service.json`` follows the
-``BENCH_engine.json`` format; ``benchmarks/test_bench_service.py``
-gates the obs/sec floor in CI.
+``benchmarks/test_bench_service.py`` gates the obs/sec floor in CI.
 """
 
 from __future__ import annotations
@@ -129,37 +127,14 @@ class BenchResult:
     evictions: int
     stats: Dict[str, object] = field(default_factory=dict)
 
-    def to_record(self) -> Dict[str, object]:
-        """Trajectory-file payload (see ``benchmarks/README.md``)."""
-        return {
-            "runs": 1,
-            "workers": self.config.workers,
-            "cores": available_cores(),
-            "senders": self.config.senders,
-            "observations": self.observations,
-            "distinct_senders": self.distinct_senders,
-            "shards": self.config.shards,
-            "max_entries_per_shard": self.config.max_entries,
-            "detector": self.config.detector,
-            "cheaters": self.cheaters,
-            "flagged": self.flagged,
-            "evictions": self.evictions,
-            "wall_s": round(self.wall_s, 3),
-            "obs_per_sec": round(self.obs_per_sec),
-            "p99_flag_latency_ms": (
-                None if self.p99_flag_latency_s is None
-                else round(self.p99_flag_latency_s * 1e3, 3)
-            ),
-        }
-
 
 def available_cores() -> int:
     """CPU cores this process may actually run on.
 
-    Recorded in every bench record: a multi-worker obs/sec number is
-    meaningless without knowing whether the host could run the
-    workers in parallel at all (a 4-worker pool on a 1-core container
-    measures routing overhead, not speedup).
+    A multi-worker obs/sec number is meaningless without knowing
+    whether the host could run the workers in parallel at all (a
+    4-worker pool on a 1-core container measures routing overhead,
+    not speedup).
     """
     try:
         return len(os.sched_getaffinity(0))
@@ -353,55 +328,11 @@ def _assert_judgement(flagged_senders: set, cheaters: frozenset) -> None:
         )
 
 
-#: Bench geometries by scale name (the CLI's and the bench test's
-#: shared vocabulary).  Both scales keep the acceptance geometry —
-#: >= 100k distinct senders against a 10k-entry per-shard budget.
+#: Bench geometries by scale name.  Every scale keeps the acceptance
+#: geometry — >= 100k distinct senders against a 10k-entry per-shard
+#: budget.
 BENCH_SCALES: Dict[str, BenchConfig] = {
     "quick": BenchConfig(senders=100_000, observations=250_000),
     "bench": BenchConfig(senders=120_000, observations=360_000),
     "full": BenchConfig(senders=250_000, observations=1_000_000),
 }
-
-# ----------------------------------------------------------------------
-# Trajectory file (BENCH_service.json, BENCH_engine.json format)
-# ----------------------------------------------------------------------
-#: Hard obs/sec floor the CI gate enforces at every scale.
-ABSOLUTE_FLOOR_OBS_PER_SEC = 50_000
-#: Tolerated obs/sec drop vs the committed per-scale baseline.
-REGRESSION_TOLERANCE = 0.30
-#: Keep the trajectory bounded; old entries age out.
-TRAJECTORY_CAP = 200
-
-_TRAJECTORY_WORKLOAD = (
-    "service ingest: Zipf sender churn (>=100k distinct) through the "
-    "sharded LRU detector store, window detector"
-)
-
-
-def append_trajectory(
-    path, scale: str, record: Dict[str, object], rebase: bool = False,
-) -> Dict[str, object]:
-    """Append one bench record to the trajectory file at ``path``.
-
-    Returns the per-scale baseline record (installing ``record`` as
-    baseline when none exists for ``scale``, or when ``rebase``).
-    ``record`` should carry a ``utc`` timestamp; callers add it so
-    this helper stays clock-free.
-    """
-    import json
-    import pathlib
-
-    path = pathlib.Path(path)
-    if path.exists():
-        data = json.loads(path.read_text())
-    else:
-        data = {"schema": 1, "workload": _TRAJECTORY_WORKLOAD,
-                "baselines": {}, "trajectory": []}
-    baseline = data["baselines"].get(scale)
-    if baseline is None or rebase:
-        data["baselines"][scale] = record
-        baseline = record
-    data["trajectory"] = (data["trajectory"] + [record])[-TRAJECTORY_CAP:]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2) + "\n")
-    return baseline

@@ -27,7 +27,7 @@ import itertools
 import time as _time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 # Heap entries are plain ``(time, seq, obj)`` tuples: ordering is
 # (time, sequence) so that events scheduled for the same timestamp fire
@@ -42,9 +42,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 # ``obj`` is either an :class:`EventHandle` (cancellable timers) or a
 # bare callable scheduled through :meth:`Simulator.call_later` /
 # :meth:`Simulator.call_at`.  The bare form exists for the dominant
-# fire-and-forget patterns profiled by ``REPRO_PROFILE`` — transmission
-# completions, SIFS-spaced response chains, IFS waits that are never
-# cancelled — where allocating a handle per event is pure overhead.
+# fire-and-forget patterns — transmission completions, SIFS-spaced
+# response chains, IFS waits that are never cancelled — where
+# allocating a handle per event is pure overhead.
 #
 # A cancelled handle stays in the heap as a *tombstone* until it is
 # popped or the heap is compacted.  The simulator counts its tombstones
@@ -171,11 +171,6 @@ class Simulator:
     until:
         Optional default horizon (microseconds) used by :meth:`run`
         when no explicit horizon is passed.
-    profile:
-        When true, tally dispatched events per subsystem (the module of
-        each callback) into :attr:`event_counts`.  Costs one dict
-        update per event, never touches any RNG, and is off by default
-        so the hot path stays lean.
     watchdog:
         Optional :class:`Watchdog`.  When set, :meth:`run` uses a
         guarded dispatch loop that raises :class:`SimulationStalled`
@@ -184,7 +179,7 @@ class Simulator:
         and per-event cost is unchanged.
     """
 
-    def __init__(self, until: Optional[int] = None, profile: bool = False,
+    def __init__(self, until: Optional[int] = None,
                  watchdog: Optional["Watchdog"] = None):
         self.now: int = 0
         self._queue: list[tuple[int, int, EventHandle]] = []
@@ -195,9 +190,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.events_processed = 0
-        #: Per-module dispatch counts; populated only under ``profile``.
-        self.event_counts: Dict[str, int] = {}
-        self._profile = profile
         self.watchdog = watchdog
 
     # ------------------------------------------------------------------
@@ -280,7 +272,6 @@ class Simulator:
         # ``self`` are a measurable fraction of the kernel's cost.
         queue = self._queue
         heappop = heapq.heappop
-        profile = self._profile
         handle_cls = EventHandle
         floor = COMPACT_MIN_TOMBSTONES
         limit = INFINITE_TIME if horizon is None else horizon
@@ -309,13 +300,6 @@ class Simulator:
                     raise SimulationError("event queue went backwards in time")
                 self.now = event_time
                 events += 1
-                if profile:
-                    module = getattr(
-                        callback, "__module__", None
-                    ) or "unknown"
-                    self.event_counts[module] = (
-                        self.event_counts.get(module, 0) + 1
-                    )
                 callback()
         finally:
             self.events_processed = events
@@ -373,13 +357,6 @@ class Simulator:
             self.now = event_time
             self.events_processed += 1
             trace.append((event_time, _describe_callback(callback)))
-            if self._profile:
-                module = getattr(
-                    callback, "__module__", None
-                ) or "unknown"
-                self.event_counts[module] = (
-                    self.event_counts.get(module, 0) + 1
-                )
             callback()
 
     def stop(self) -> None:

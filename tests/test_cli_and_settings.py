@@ -10,7 +10,6 @@ from repro.experiments.settings import (
     active_settings,
     cache_enabled,
     env_flag,
-    profile_enabled,
 )
 
 
@@ -50,11 +49,11 @@ class TestSettings:
         monkeypatch.setenv("REPRO_X", "1")
         assert env_flag("REPRO_X")
 
-    def test_cache_and_profile_flags(self, monkeypatch):
+    def test_cache_flag(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "1")
-        monkeypatch.setenv("REPRO_PROFILE", "0")
         assert cache_enabled()
-        assert not profile_enabled()
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        assert not cache_enabled()
 
 
 class TestCli:

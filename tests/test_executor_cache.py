@@ -283,23 +283,6 @@ class ExplodingPolicy(ConformingPolicy):
         raise RuntimeError("synthetic failure")
 
 
-class TestProfiling:
-    def test_profile_does_not_perturb_results(self, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        plain = run_seeds(config(pm=50.0), (1,), workers=1)[0]
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        profiled = run_seeds(config(pm=50.0), (1,), workers=1)[0]
-        assert plain.throughputs() == profiled.throughputs()
-        assert plain.events_processed == profiled.events_processed
-        assert not plain.event_counts
-        assert profiled.event_counts
-        assert sum(profiled.event_counts.values()) == (
-            profiled.events_processed
-        )
-        err = capsys.readouterr().err
-        assert "ev/s" in err and "[profile]" in err
-
-
 class TestDefaultWorkers:
     def test_env_unset_uses_cpu_count(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)

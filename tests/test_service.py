@@ -902,7 +902,6 @@ class TestSimAdapter:
         plain_result = run_scenario(config)
         assert recorded_result.events_processed \
             == plain_result.events_processed
-        assert recorded_result.event_counts == plain_result.event_counts
         assert recorded_result.collector.deliveries \
             == plain_result.collector.deliveries
         assert records, "a saturated 0.4 s run must judge observations"
@@ -974,9 +973,8 @@ class TestLoadgen:
         assert result.evictions > 0
         assert result.flagged > 0
         assert result.obs_per_sec > 0
-        record = result.to_record()
-        assert record["observations"] == 8_000
-        assert record["p99_flag_latency_ms"] is not None
+        assert result.observations == 8_000
+        assert result.p99_flag_latency_s is not None
 
     def test_config_validation(self):
         from repro.service import BenchConfig
@@ -1038,24 +1036,6 @@ class TestLoadgen:
         assert result.flagged == expected_flagged
         if expected_flagged == 0:
             assert result.p99_flag_latency_s is None
-            assert result.to_record()["p99_flag_latency_ms"] is None
         else:
             assert result.p99_flag_latency_s is not None
             assert result.p99_flag_latency_s >= 0.0
-            assert result.to_record()["p99_flag_latency_ms"] >= 0.0
-
-    def test_trajectory_append_and_baseline(self, tmp_path):
-        from repro.service.loadgen import append_trajectory
-
-        path = tmp_path / "BENCH_service.json"
-        first = {"obs_per_sec": 100_000, "utc": "2026-01-01T00:00:00+00:00"}
-        baseline = append_trajectory(path, "quick", first)
-        assert baseline == first
-        second = {"obs_per_sec": 90_000, "utc": "2026-01-02T00:00:00+00:00"}
-        baseline = append_trajectory(path, "quick", second)
-        assert baseline == first  # sticky until rebased
-        baseline = append_trajectory(path, "quick", second, rebase=True)
-        assert baseline == second
-        data = json.loads(path.read_text())
-        assert data["schema"] == 1
-        assert len(data["trajectory"]) == 3

@@ -508,9 +508,6 @@ class TestPoolEquivalence:
         assert result.distinct_senders == 2_000
         assert result.flagged > 0
         assert result.obs_per_sec > 0
-        record = result.to_record()
-        assert record["workers"] == 2
-        assert record["cores"] >= 1
 
 
 # ----------------------------------------------------------------------

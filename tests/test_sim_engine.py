@@ -191,45 +191,47 @@ class TestStopAndIntrospection:
 
 
 class TestDispatchLoopParity:
-    """The fast and watched dispatch loops must count identically.
+    """The fast and watched dispatch loops must dispatch identically.
 
-    ``REPRO_PROFILE`` plus a watchdog routes dispatch through
-    ``_run_watched``; without a watchdog the same run uses
-    ``_run_fast``.  Both results and every per-subsystem event tally
-    must agree — a double-counted dispatch in either loop would skew
-    the kernel profiles that performance work keys off (and would
-    betray a dispatch executed twice).
+    A watchdog routes dispatch through ``_run_watched``; without one
+    the same run uses ``_run_fast``.  The event count, every campaign
+    metric and the full delivery log must agree — a dispatch skipped,
+    reordered or executed twice in either loop would show in one of
+    them.
     """
 
-    def test_profiled_counters_match_between_fast_and_watched(self):
-        from repro.experiments.scenarios import ScenarioConfig, build_scenario
+    def test_fast_and_watched_loops_agree(self):
+        from repro.experiments.campaign import METRIC_FIELDS
+        from repro.experiments.scenarios import (
+            RunResult,
+            ScenarioConfig,
+            build_scenario,
+        )
         from repro.net.topology import circle_topology
 
+        config = ScenarioConfig(
+            topology=circle_topology(3, misbehaving=(2,), pm_percent=60.0),
+            protocol="correct",
+            duration_us=250_000,
+            seed=5,
+        )
+
         def run(watchdog):
-            config = ScenarioConfig(
-                topology=circle_topology(3, misbehaving=(2,), pm_percent=60.0),
-                protocol="correct",
-                duration_us=250_000,
-                seed=5,
-            )
-            sim, nodes, collector = build_scenario(
-                config, profile=True, watchdog=watchdog
-            )
+            sim, nodes, collector = build_scenario(config, watchdog=watchdog)
             for node in nodes:
                 node.start()
             sim.run(until=config.duration_us)
-            return sim, collector
+            return RunResult(config=config, collector=collector,
+                             events_processed=sim.events_processed)
 
-        fast_sim, fast_collector = run(watchdog=None)
-        watched_sim, watched_collector = run(
-            watchdog=Watchdog(max_events=10_000_000)
-        )
-        assert fast_sim.events_processed > 0
-        assert fast_sim.events_processed == watched_sim.events_processed
-        assert dict(fast_sim.event_counts) == dict(watched_sim.event_counts)
-        assert sum(fast_sim.event_counts.values()) == fast_sim.events_processed
-        assert (fast_collector.throughputs(250_000)
-                == watched_collector.throughputs(250_000))
+        fast = run(watchdog=None)
+        watched = run(watchdog=Watchdog(max_events=10_000_000))
+        assert fast.events_processed > 0
+        assert fast.events_processed == watched.events_processed
+        for name in METRIC_FIELDS:
+            assert repr(getattr(fast, name)) == repr(getattr(watched, name)), name
+        assert fast.collector.deliveries
+        assert fast.collector.deliveries == watched.collector.deliveries
 
 
 # ----------------------------------------------------------------------
