@@ -10,10 +10,11 @@ re-simulated.  The cache key is::
 * :func:`config_fingerprint` canonicalises the config — dataclasses
   are walked field by field, dicts are sorted, floats use their
   shortest ``repr`` — into a JSON document that is stable across
-  processes and Python hash randomisation.  Objects without a stable
-  ``repr`` (anything printing an ``at 0x...`` address) make the config
-  *uncacheable*: :class:`UncacheableConfigError` is raised and the
-  executor simply runs such configs every time.
+  processes and Python hash randomisation, once per config instance.
+  Objects without a stable ``repr`` (anything printing an ``at
+  0x...`` address) make the config *uncacheable*:
+  :class:`UncacheableConfigError` is raised and the executor simply
+  runs such configs every time.
 * :func:`code_version` hashes every protocol-relevant source file
   (``repro.sim / phy / mac / net / core / detect / metrics`` and
   ``experiments/scenarios.py``), so editing the simulator invalidates
@@ -36,7 +37,7 @@ import pathlib
 import pickle
 import sys
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.experiments.scenarios import RunResult, ScenarioConfig
 from repro.experiments.settings import cache_enabled
@@ -90,14 +91,120 @@ def _canonical(obj: Any) -> Any:
     return [type(obj).__name__, text]
 
 
+#: JSON string encoder ``json.dumps`` uses by default (ASCII output).
+_json_str = json.encoder.encode_basestring_ascii
+
+#: Per dataclass type: ``(field names, text before each field's value,
+#: closing text)``, or None for a type :func:`_write` must hand to the
+#: reference path.
+_LAYOUTS: Dict[type, Optional[Tuple[Tuple[str, ...], Tuple[str, ...], str]]] = {}
+
+
+def _layout(cls: type):
+    """The cached JSON layout of dataclass type ``cls`` (or None)."""
+    try:
+        return _LAYOUTS[cls]
+    except KeyError:
+        pass
+    layout = None
+    # _canonical tests int/str/float before dataclasses, so a dataclass
+    # deriving from one of those is not laid out field by field.
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, (int, str, float)):
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        head = "[" + _json_str(cls.__name__) + ",["
+        prefixes = tuple(
+            (head + "[" if i == 0 else "],[") + _json_str(name) + ","
+            for i, name in enumerate(names)
+        )
+        layout = (names, prefixes, "]]]" if names else head + "]]")
+    _LAYOUTS[cls] = layout
+    return layout
+
+
+def _int_key_order(key: int) -> str:
+    # _canonical sorts dict items by repr([key, value]); for distinct
+    # int keys that is decided by the key text followed by ", ", and
+    # "," sorts below every digit.
+    return repr(key) + ","
+
+
+def _write(obj: Any, out: List[str]) -> None:
+    """Append ``obj``'s canonical JSON text to ``out``.
+
+    Exact builtin types, int-keyed dicts and dataclasses take the fast
+    paths; anything else (subclasses, str-keyed dicts, sets, enums,
+    arbitrary objects) is written by the reference path.
+    """
+    cls = type(obj)
+    if cls is str:
+        out.append(_json_str(obj))
+    elif cls is int:
+        out.append(repr(obj))
+    elif cls is float:
+        out.append('"' + repr(obj) + '"')
+    elif obj is None:
+        out.append("null")
+    elif cls is bool:
+        out.append("true" if obj else "false")
+    elif cls is list or cls is tuple:
+        out.append('["seq",[')
+        first = True
+        for item in obj:
+            if not first:
+                out.append(",")
+            first = False
+            _write(item, out)
+        out.append("]]")
+    elif cls is dict and all(type(key) is int for key in obj):
+        out.append('["dict",[')
+        first = True
+        for key in sorted(obj, key=_int_key_order):
+            out.append("[" if first else ",[")
+            first = False
+            out.append(repr(key))
+            out.append(",")
+            _write(obj[key], out)
+            out.append("]")
+        out.append("]]")
+    else:
+        layout = _layout(cls)
+        if layout is None:
+            out.append(json.dumps(_canonical(obj), separators=(",", ":")))
+            return
+        names, prefixes, close = layout
+        for name, prefix in zip(names, prefixes):
+            out.append(prefix)
+            _write(getattr(obj, name), out)
+        out.append(close)
+
+
+def canonical_json(obj: Any) -> str:
+    """``obj``'s canonical JSON document, the text fingerprints hash.
+
+    Identical to ``json.dumps(_canonical(obj), separators=(",", ":"))``
+    (the reference definition), written directly without building the
+    intermediate lists.
+    """
+    out: List[str] = []
+    _write(obj, out)
+    return "".join(out)
+
+
+def canonical_digest(obj: Any) -> str:
+    """sha256 hex digest of :func:`canonical_json`."""
+    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
 def config_fingerprint(config: ScenarioConfig) -> str:
     """Stable hex digest identifying one ``(scenario, seed)`` run.
 
-    Raises :class:`UncacheableConfigError` when the config embeds an
-    object (e.g. an ad-hoc policy) whose repr is not deterministic.
+    Computed once per config instance (:attr:`ScenarioConfig.fingerprint`),
+    so the campaign orchestrator, the executor's in-batch dedup and the
+    run cache share one canonicalisation.  Raises
+    :class:`UncacheableConfigError` when the config embeds an object
+    (e.g. an ad-hoc policy) whose repr is not deterministic.
     """
-    payload = json.dumps(_canonical(config), separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return config.fingerprint
 
 
 @lru_cache(maxsize=1)
@@ -270,6 +377,8 @@ __all__ = [
     "UncacheableConfigError",
     "active_cache",
     "cache_dir",
+    "canonical_digest",
+    "canonical_json",
     "code_version",
     "config_fingerprint",
 ]

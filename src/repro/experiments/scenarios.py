@@ -9,6 +9,7 @@ returns a :class:`RunResult` exposing the paper's metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Set
 
 from repro.core.params import PAPER_CONFIG, ProtocolConfig
@@ -93,6 +94,18 @@ class ScenarioConfig:
         """Copy of this config under a different seed."""
         return replace(self, seed=seed)
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """This config's run fingerprint, computed on first use.
+
+        See :func:`repro.experiments.cache.config_fingerprint`.  A
+        config is never mutated once built, so the digest holds for the
+        instance's life.
+        """
+        from repro.experiments.cache import canonical_digest
+
+        return canonical_digest(self)
+
 
 @dataclass
 class RunResult:
@@ -163,7 +176,8 @@ class RunResult:
 
 def _make_mac(config: ScenarioConfig, sim, medium, registry, collector,
               node_id: int, policy: ConformingPolicy,
-              timings: Optional[PhyTimings] = None):
+              timings: Optional[PhyTimings] = None,
+              receives_flows: bool = True):
     if config.protocol == PROTOCOL_80211:
         if config.detector is not None:
             raise ValueError(
@@ -192,6 +206,7 @@ def _make_mac(config: ScenarioConfig, sim, medium, registry, collector,
             refuse_diagnosed=config.refuse_diagnosed,
             adaptive_thresh=config.adaptive_thresh,
             detector_factory=factory,
+            receives_flows=receives_flows,
         )
     raise ValueError(f"unknown protocol {config.protocol!r}")
 
@@ -240,6 +255,9 @@ def build_scenario(config: ScenarioConfig,
         misbehaving=set(topo.misbehaving_senders), measured_senders=measured
     )
     flows_by_src = {f.src: f for f in topo.flows}
+    # Only a flow's destination judges senders, so only it needs an
+    # idle-slot counter (see CorrectMac's ``receives_flows``).
+    destinations = {f.dst for f in topo.flows}
     nodes: List[Node] = []
     for node_id in topo.node_ids:
         flow = flows_by_src.get(node_id)
@@ -264,7 +282,8 @@ def build_scenario(config: ScenarioConfig,
             if node_id in drifts else None
         )
         mac = _make_mac(config, sim, medium, registry, collector, node_id,
-                        policy, timings=node_timings)
+                        policy, timings=node_timings,
+                        receives_flows=node_id in destinations)
         nodes.append(build_node(medium, mac, topo.positions[node_id], source))
     if faults is not None:
         injector = FaultInjector(sim, registry, faults)

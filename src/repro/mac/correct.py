@@ -42,6 +42,7 @@ from repro.core.receiver_verify import ReceiverAuditor
 from repro.detect.base import Detector
 from repro.mac.dcf import DcfMac, _Responder
 from repro.mac.frames import Frame
+from repro.sim.engine import SimulationError
 
 
 class CorrectMac(DcfMac):
@@ -71,6 +72,13 @@ class CorrectMac(DcfMac):
         (see :func:`repro.detect.detector_factory`).  ``None`` keeps
         the paper's W/THRESH window detector, bit-identical to
         pre-registry builds.
+    receives_flows:
+        Whether any flow targets this node.  Only a receiver measures
+        ``B_act``, so a node no flow targets builds no idle-slot
+        counter (nor its ``idle/<node>`` stream, which nothing else
+        draws from): its draws and every other node's stay identical.
+        Judging a sender without a counter raises
+        :class:`~repro.sim.engine.SimulationError`.
     """
 
     modified_protocol = True
@@ -85,8 +93,11 @@ class CorrectMac(DcfMac):
         refuse_diagnosed: bool = False,
         adaptive_thresh: bool = False,
         detector_factory: Optional[Callable[[], Detector]] = None,
+        receives_flows: bool = True,
         **kwargs,
     ):
+        if not receives_flows:
+            self.counts_idle_slots = False
         super().__init__(*args, **kwargs)
         self.config = config
         if (config.cw_min, config.cw_max) != (
@@ -151,7 +162,7 @@ class CorrectMac(DcfMac):
         monitor = self.monitor_for(src)
         if self.refuse_diagnosed and monitor.is_misbehaving:
             return None
-        idle_now = self.idle_counter.idle_slots(self.sim.now)
+        idle_now = self._idle_slots()
         if self.adaptive_threshold is not None and hasattr(
             monitor.detector, "thresh"
         ):
@@ -196,8 +207,17 @@ class CorrectMac(DcfMac):
 
     def _on_response_sent(self, kind: str, resp: _Responder) -> None:
         monitor = self.monitor_for(resp.src)
-        idle_now = self.idle_counter.idle_slots(self.sim.now)
-        monitor.on_response_sent(kind, resp.attempt, idle_now)
+        monitor.on_response_sent(kind, resp.attempt, self._idle_slots())
+
+    def _idle_slots(self) -> int:
+        """The receiver's cumulative idle-slot count at ``now``."""
+        counter = self.idle_counter
+        if counter is None:
+            raise SimulationError(
+                f"node {self.node_id} was built with receives_flows=False "
+                "but is judging a sender: it has no idle-slot counter"
+            )
+        return counter.idle_slots(self.sim.now)
 
     # ------------------------------------------------------------------
     # Sender side

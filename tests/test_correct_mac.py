@@ -7,7 +7,12 @@ from repro.core.sender_policy import (
     AttemptLyingPolicy,
     PartialCountdownPolicy,
 )
+from repro.experiments import scenarios
+from repro.experiments.scenarios import ScenarioConfig, build_scenario
 from repro.mac.correct import CorrectMac
+from repro.net.topology import circle_topology
+from repro.sim.engine import SimulationError
+from repro.sim.rng import RngRegistry
 
 from tests.conftest import World
 
@@ -141,3 +146,44 @@ class TestReceiverAudit:
         assert auditor.packets_audited > 50
         assert auditor.violations == 0
         assert w.collector.receiver_audit_events == []
+
+
+class TestOnlyReceiversCountIdleSlots:
+    """Only a flow's destination measures ``B_act``, so only it builds
+    an idle-slot counter and its ``idle/<node>`` stream."""
+
+    def test_scenario_builds_counters_on_flow_destinations_only(
+            self, monkeypatch):
+        registries = []
+
+        class RecordingRegistry(RngRegistry):
+            def __init__(self, master_seed):
+                super().__init__(master_seed)
+                registries.append(self)
+
+        monkeypatch.setattr(scenarios, "RngRegistry", RecordingRegistry)
+        # TWO-FLOW: the circle's senders and the interferer sources A
+        # and C send; R (0) and the interferer sinks B and D receive.
+        topology = circle_topology(4, with_interferers=True)
+        config = ScenarioConfig(topology=topology, duration_us=200_000)
+        sim, nodes, _ = build_scenario(config)
+        for node in nodes:
+            node.start()
+        sim.run(until=config.duration_us)
+        (registry,) = registries
+        destinations = {flow.dst for flow in topology.flows}
+        assert destinations == {0, 102, 104}
+        for node in nodes:
+            node_id = node.mac.node_id
+            receives = node_id in destinations
+            assert registry.has_stream(f"idle/{node_id}") is receives
+            assert (node.mac.idle_counter is not None) is receives
+        assert nodes[0].mac.monitor_for(1).packets_observed > 0
+
+    def test_counterless_mac_asked_to_judge_names_the_node(self):
+        w = World()
+        w.add_receiver(CorrectMac, 0, (0.0, 0.0), receives_flows=False)
+        w.add_sender(CorrectMac, 1, (150.0, 0.0), dst=0)
+        assert not w.registry.has_stream("idle/0")
+        with pytest.raises(SimulationError, match="node 0"):
+            w.run(500_000)
