@@ -18,23 +18,23 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.experiments import ALL_FIGURES, active_settings
+from repro.experiments import FIGURES, active_settings, generate_figures
 from repro.experiments.report import print_figure
 
 
 def main() -> None:
-    wanted = sys.argv[1:] or list(ALL_FIGURES)
-    unknown = [w for w in wanted if w not in ALL_FIGURES]
+    wanted = sys.argv[1:] or list(FIGURES)
+    unknown = [w for w in wanted if w not in FIGURES]
     if unknown:
         raise SystemExit(
-            f"unknown figure id(s) {unknown}; choose from {list(ALL_FIGURES)}"
+            f"unknown figure id(s) {unknown}; choose from {list(FIGURES)}"
         )
     settings = active_settings()
     print(f"Scale: {settings.duration_s:g}s per run, "
           f"{len(settings.seeds)} seeds, PM sweep {settings.pm_values}")
     for figure_id in wanted:
         start = time.time()
-        fig = ALL_FIGURES[figure_id](settings)
+        fig = generate_figures([figure_id], settings)[figure_id]
         print()
         print_figure(fig)
         print(f"   [generated in {time.time() - start:.1f}s]")

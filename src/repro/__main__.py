@@ -127,7 +127,7 @@ import sys
 
 from repro.analysis.bianchi import saturation_throughput
 from repro.experiments import (
-    ALL_FIGURES,
+    FIGURES,
     ScenarioConfig,
     active_settings,
     run_scenario,
@@ -140,12 +140,12 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.experiments.executor import ExperimentExecutor
     from repro.experiments.figures import generate_figures
 
-    wanted = args.ids or list(ALL_FIGURES)
-    unknown = [w for w in wanted if w not in ALL_FIGURES]
+    wanted = args.ids or list(FIGURES)
+    unknown = [w for w in wanted if w not in FIGURES]
     if unknown:
         print(
             f"unknown figure id(s): {', '.join(unknown)}\n"
-            f"available: {', '.join(sorted(ALL_FIGURES))}",
+            f"available: {', '.join(sorted(FIGURES))}",
             file=sys.stderr,
         )
         return 2
@@ -576,25 +576,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _service_geometry(args) -> tuple[int, int, int]:
-    """(shards, per-shard entries, workers) from flags, env knobs,
-    defaults."""
-    from repro.experiments.settings import (
-        service_shard_entries,
-        service_shards,
-        service_workers,
-    )
+    """(shards, per-shard entries, workers) from flags or defaults."""
     from repro.service.store import DEFAULT_MAX_ENTRIES, DEFAULT_SHARDS
 
-    shards = args.shards
-    if shards is None:
-        shards = service_shards() or DEFAULT_SHARDS
-    entries = args.max_entries
-    if entries is None:
-        entries = service_shard_entries() or DEFAULT_MAX_ENTRIES
-    workers = args.workers
-    if workers is None:
-        workers = service_workers() or 1
-    return shards, entries, workers
+    return (
+        DEFAULT_SHARDS if args.shards is None else args.shards,
+        DEFAULT_MAX_ENTRIES if args.max_entries is None else args.max_entries,
+        1 if args.workers is None else args.workers,
+    )
 
 
 def _serve_emit_trace(args: argparse.Namespace) -> int:
@@ -871,16 +860,15 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--detector", default="window",
                          help="detector spec to serve (default: window)")
     p_serve.add_argument("--shards", type=int, default=None, metavar="N",
-                         help="state-store shard count (default: "
-                              "REPRO_SERVICE_SHARDS or 8)")
+                         help="state-store shard count (default: 8)")
     p_serve.add_argument("--max-entries", type=int, default=None,
                          metavar="N",
-                         help="per-shard LRU entry budget (default: "
-                              "REPRO_SERVICE_ENTRIES or 10000)")
+                         help="per-shard LRU entry budget "
+                              "(default: 10000)")
     p_serve.add_argument("--workers", type=int, default=None, metavar="N",
                          help="ingest worker processes, each owning a "
                               "disjoint crc32 sender range (default: "
-                              "REPRO_SERVICE_WORKERS or 1 = in-process)")
+                              "1 = in-process)")
     p_serve.add_argument("--spool-dir", default=None, metavar="DIR",
                          help="persist first-flag events to crc32-"
                               "checksummed spools in DIR; a restarted "

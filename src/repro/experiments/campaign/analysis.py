@@ -1,4 +1,4 @@
-"""Campaign analysis: merge shard journals, datasets, journal-driven figures.
+"""Campaign analysis: merge shard journals, datasets, figure builders.
 
 This is the analysis half of the campaign subsystem (the orchestrator
 is the execution half).  Everything here is read-only with respect to
@@ -23,15 +23,16 @@ shard journals — a merge never mutates its inputs.
   plus one column per journal metric.  No pandas, no numpy required
   (:meth:`CampaignDataset.to_numpy` converts a column when numpy is
   importable).
-* :func:`figure_from_dataset` + :data:`JOURNAL_FIGURES` bridge merged
-  datasets into the existing figure registry: the fig4-fig9/'detectors'
-  reducers rebuilt over journal rows, producing
-  :class:`~repro.experiments.figures.FigureResult` objects that — for
-  grids matching the in-memory sweeps — carry bit-identical values
-  (same per-run metrics, same :func:`~repro.metrics.stats.summarize`
-  call over the same seed order, same scale factors).  This is the
-  path that retires the in-memory ``FigureResult`` sweeps for large
-  campaigns: run sharded, merge, report.
+* :func:`figure_from_dataset` + :data:`JOURNAL_FIGURES` are the one
+  builder of each seed-averaged figure (fig4, fig5, fig6, fig7, fig9a
+  and the detectors' operating points), producing
+  :class:`~repro.experiments.figures.FigureResult` objects.  A
+  campaign's journal feeds them through :func:`load_dataset`; an
+  in-memory sweep (``python -m repro figures``) runs the same grid as
+  a journal-less campaign — :func:`figure_spec` builds its
+  :class:`CampaignSpec` from the ``EvalSettings`` and
+  :func:`dataset_from_runs` tabulates its outcomes with the same row
+  code — so the two agree value for value.
 * :func:`group_diagnostics` computes cross-seed dispersion per group —
   Student-t CI, variance, min/max, coefficient of variation, and the
   estimated number of seeds needed to pin the 95% CI inside a target
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 import os
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from repro.experiments.campaign.journal import (
@@ -63,18 +64,26 @@ from repro.experiments.campaign.orchestrator import (
     JOURNAL_NAME,
     SUMMARY_NAME,
     _fingerprint_cells,
+    _run_record,
     write_summary,
 )
 from repro.experiments.campaign.spec import (
     CampaignCell,
     CampaignSpec,
     CampaignSpecError,
+    ScenarioAxis,
     expand_cells,
+    format_campaign,
     parse_campaign,
 )
 from repro.experiments.cache import code_version
-from repro.experiments.figures import FigureResult
+from repro.experiments.figures import (
+    PROTOCOL_LABELS,
+    MISBEHAVING_NODE,
+    FigureResult,
+)
 from repro.experiments.scenarios import PROTOCOL_80211, PROTOCOL_CORRECT
+from repro.experiments.settings import EvalSettings
 from repro.metrics.stats import Z95, summarize, t_critical
 
 
@@ -330,17 +339,18 @@ AXIS_COLUMNS = (
 class CampaignDataset:
     """A campaign journal as a plain dict-of-columns table.
 
-    One row per settled cell, in the spec's expansion order (so a
-    group's rows are its seeds, ascending — the exact order the
-    in-memory figure path feeds :func:`~repro.metrics.stats.summarize`).
+    One row per settled cell, in the order its cells were given (so a
+    group's rows are its seeds, in the spec's seed order — the order
+    the figure builders feed :func:`~repro.metrics.stats.summarize`).
     Columns: :data:`AXIS_COLUMNS` plus one column per journal metric
     (``None`` on failed/quarantined rows) and ``error`` (``None`` on ok
-    rows).
+    rows).  ``source`` is the journal the rows were loaded from, or
+    ``None`` for a journal-less campaign (:func:`dataset_from_runs`).
     """
 
     spec: CampaignSpec
     spec_text: str
-    source: pathlib.Path
+    source: Optional[pathlib.Path]
     columns: Dict[str, List] = field(default_factory=dict)
     skipped: List[SkippedRecord] = field(default_factory=list)
     duplicate_records: int = 0
@@ -413,7 +423,44 @@ def load_dataset(source: os.PathLike | str) -> CampaignDataset:
             duplicate_records += 1
             continue
         settled[fingerprint] = record
+    return _tabulate(
+        spec, header["spec"], path, ordered, settled,
+        skipped=skipped, duplicate_records=duplicate_records,
+    )
 
+
+def dataset_from_runs(
+    spec: CampaignSpec,
+    cells: Sequence[CampaignCell],
+    outcomes: Sequence[object],
+) -> CampaignDataset:
+    """The dataset of a journal-less campaign: cells run in memory.
+
+    Each (cell, outcome) pair becomes the record the orchestrator would
+    journal for it — a :class:`~repro.experiments.executor.FailedRun`
+    becomes a failed (or quarantined) record — and the records are
+    tabulated by the same code as :func:`load_dataset`'s, so a figure
+    built from a run in memory equals one built from its journal.
+    """
+    ordered, _ = _fingerprint_cells(cells)
+    outcome_of = {id(cell): outcome for cell, outcome in zip(cells, outcomes)}
+    settled = {
+        fingerprint: _run_record(fingerprint, cell, outcome_of[id(cell)])
+        for fingerprint, cell in ordered
+    }
+    return _tabulate(spec, format_campaign(spec), None, ordered, settled)
+
+
+def _tabulate(
+    spec: CampaignSpec,
+    spec_text: str,
+    source: Optional[pathlib.Path],
+    ordered: Sequence[Tuple[str, CampaignCell]],
+    settled: Dict[str, dict],
+    skipped: Sequence[SkippedRecord] = (),
+    duplicate_records: int = 0,
+) -> CampaignDataset:
+    """One dataset row per cell of ``ordered`` that has a settled record."""
     columns: Dict[str, List] = {name: [] for name in AXIS_COLUMNS}
     for name in METRIC_FIELDS:
         columns[name] = []
@@ -448,10 +495,10 @@ def load_dataset(source: os.PathLike | str) -> CampaignDataset:
         columns["error"].append(record.get("error"))
     return CampaignDataset(
         spec=spec,
-        spec_text=header["spec"],
-        source=path,
+        spec_text=spec_text,
+        source=source,
         columns=columns,
-        skipped=skipped,
+        skipped=list(skipped),
         duplicate_records=duplicate_records,
         missing=missing,
     )
@@ -610,45 +657,13 @@ def render_diagnostics(
 
 
 # ----------------------------------------------------------------------
-# Journal-driven figures
+# Figure builders
 # ----------------------------------------------------------------------
-_PROTOCOL_LABELS = ((PROTOCOL_80211, "802.11"), (PROTOCOL_CORRECT, "CORRECT"))
-
-
-def _stat_point(
-    fig: FigureResult,
-    name: str,
-    x: float,
-    rows: Sequence[Dict[str, object]],
-    metric: str,
-    scale: float = 1.0,
-) -> None:
-    """The dataset twin of ``figures._add_stat_point``.
-
-    Same semantics over journal rows: failed/quarantined rows play the
-    role of ``FailedRun`` placeholders (point degraded when some seeds
-    survive, omitted when none do), and the statistic is the same
-    :func:`summarize` call over the same seed-ordered values — which is
-    what makes journal-driven figures bit-identical to in-memory ones.
-    """
-    values = [
-        row[metric] for row in rows
-        if row["status"] == "ok" and row[metric] is not None
-    ]
-    if len(values) < len(rows):
-        fig.mark_failed(name, x)
-    if not values:
-        return
-    stats = summarize([float(v) for v in values])
-    fig.add_point(name, x, stats.mean * scale, error=stats.ci95 * scale)
-
-
 def _dataset_meta(dataset: CampaignDataset) -> Dict[str, object]:
-    return {
-        "source": "campaign",
-        "duration_s": dataset.spec.duration_us / 1_000_000,
-        "seeds": len(dataset.spec.seeds),
-    }
+    meta: Dict[str, object] = {"source": "campaign"} if dataset.source else {}
+    meta["duration_s"] = dataset.spec.duration_us / 1_000_000
+    meta["seeds"] = len(dataset.spec.seeds)
+    return meta
 
 
 def _select(dataset: CampaignDataset, **conditions) -> List[Dict[str, object]]:
@@ -679,6 +694,11 @@ def _group_rows(
     ]
 
 
+def _column(rows: Sequence[dict], metric: str) -> List[Optional[float]]:
+    """One metric over a group's rows (``None`` on failed rows)."""
+    return [row[metric] for row in rows]
+
+
 def _fig4_from_dataset(dataset: CampaignDataset) -> FigureResult:
     fig = FigureResult(
         figure_id="fig4",
@@ -697,10 +717,10 @@ def _fig4_from_dataset(dataset: CampaignDataset) -> FigureResult:
         variant = _group_rows(rows, interferers=interferers)
         for pm in _xs(variant, "pm"):
             cell = _group_rows(variant, pm=pm)
-            _stat_point(fig, f"{scenario} correct diagnosis", pm, cell,
-                        "correct_diagnosis_percent")
-            _stat_point(fig, f"{scenario} misdiagnosis", pm, cell,
-                        "misdiagnosis_percent")
+            fig.add_stat_point(f"{scenario} correct diagnosis", pm,
+                               _column(cell, "correct_diagnosis_percent"))
+            fig.add_stat_point(f"{scenario} misdiagnosis", pm,
+                               _column(cell, "misdiagnosis_percent"))
     return fig
 
 
@@ -718,14 +738,14 @@ def _fig5_from_dataset(dataset: CampaignDataset) -> FigureResult:
     )
     _require(rows, "fig5", "ZERO-FLOW circle:8 cells (detector '-', "
                            "faults '-') for 802.11 and/or correct")
-    for protocol, label in _PROTOCOL_LABELS:
+    for protocol, label in PROTOCOL_LABELS:
         variant = _group_rows(rows, protocol=protocol)
         for pm in _xs(variant, "pm"):
             cell = _group_rows(variant, pm=pm)
-            _stat_point(fig, f"{label} - MSB", pm, cell,
-                        "msb_throughput_bps", scale=1e-3)
-            _stat_point(fig, f"{label} - AVG", pm, cell,
-                        "avg_throughput_bps", scale=1e-3)
+            fig.add_stat_point(f"{label} - MSB", pm,
+                               _column(cell, "msb_throughput_bps"), scale=1e-3)
+            fig.add_stat_point(f"{label} - AVG", pm,
+                               _column(cell, "avg_throughput_bps"), scale=1e-3)
     return fig
 
 
@@ -736,14 +756,14 @@ def _size_sweep_figure(
     _require(rows, fig.figure_id,
              "pm=0 circle cells (detector '-', faults '-') across sizes")
     for scenario, interferers in (("ZERO-FLOW", False), ("TWO-FLOW", True)):
-        for protocol, label in _PROTOCOL_LABELS:
+        for protocol, label in PROTOCOL_LABELS:
             variant = _group_rows(
                 rows, interferers=interferers, protocol=protocol
             )
             for n in _xs(variant, "nodes"):
                 cell = _group_rows(variant, nodes=n)
-                _stat_point(fig, f"{scenario} {label}", n, cell,
-                            metric, scale=scale)
+                fig.add_stat_point(f"{scenario} {label}", n,
+                                   _column(cell, metric), scale=scale)
     return fig
 
 
@@ -785,9 +805,10 @@ def _fig9a_from_dataset(dataset: CampaignDataset) -> FigureResult:
                             "(seeds play the paper's placements role)")
     for pm in _xs(rows, "pm"):
         cell = _group_rows(rows, pm=pm)
-        _stat_point(fig, "correct diagnosis", pm, cell,
-                    "correct_diagnosis_percent")
-        _stat_point(fig, "misdiagnosis", pm, cell, "misdiagnosis_percent")
+        fig.add_stat_point("correct diagnosis", pm,
+                           _column(cell, "correct_diagnosis_percent"))
+        fig.add_stat_point("misdiagnosis", pm,
+                           _column(cell, "misdiagnosis_percent"))
     return fig
 
 
@@ -806,8 +827,10 @@ def _detectors_from_dataset(dataset: CampaignDataset) -> FigureResult:
     _require(rows, "detectors", "ZERO-FLOW circle:8 cells under the "
                                 "correct protocol with a detector axis")
     # Journals carry the operating-point metrics only; time-to-detection
-    # is a per-cheater latency the journal schema does not record.
-    fig.meta["ttd"] = "not recorded in campaign journals"
+    # is a per-cheater latency the journal schema does not record (an
+    # in-memory sweep adds its TTD series from the runs themselves).
+    if dataset.source:
+        fig.meta["ttd"] = "not recorded in campaign journals"
     fig.meta["detectors"] = [
         spec if spec is not None else "window"
         for spec in dataset.spec.detectors
@@ -817,18 +840,19 @@ def _detectors_from_dataset(dataset: CampaignDataset) -> FigureResult:
         variant = _group_rows(rows, detector=spec)
         for pm in _xs(variant, "pm"):
             cell = _group_rows(variant, pm=pm)
-            _stat_point(fig, f"{label} - detection %", pm, cell,
-                        "detection_rate_percent")
-            _stat_point(fig, f"{label} - false alarm %", pm, cell,
-                        "false_alarm_percent")
+            fig.add_stat_point(f"{label} - detection %", pm,
+                               _column(cell, "detection_rate_percent"))
+            fig.add_stat_point(f"{label} - false alarm %", pm,
+                               _column(cell, "false_alarm_percent"))
     return fig
 
 
-#: Figure builders that run off a campaign dataset instead of live
-#: simulations.  fig8 (a time series) and the intro/delay figures need
-#: per-run collector state the journal does not carry, so large-sweep
-#: reporting covers the statistical figures: the ones campaigns exist
-#: to scale.
+#: The builders of the seed-averaged figures: the only reducers of
+#: these ids, whether the dataset was loaded from a journal or came
+#: from an in-memory sweep (:func:`figure_spec` +
+#: :func:`dataset_from_runs`).  fig8 (a time series), fig9b, intro,
+#: delay and faults need per-run state the journal does not carry, so
+#: they stay in-memory planners in :mod:`repro.experiments.figures`.
 JOURNAL_FIGURES = {
     "fig4": _fig4_from_dataset,
     "fig5": _fig5_from_dataset,
@@ -837,6 +861,49 @@ JOURNAL_FIGURES = {
     "fig9a": _fig9a_from_dataset,
     "detectors": _detectors_from_dataset,
 }
+
+
+def figure_spec(figure_id: str, settings: EvalSettings) -> CampaignSpec:
+    """The campaign grid an in-memory sweep of ``figure_id`` runs.
+
+    Built from ``settings`` alone: the circle figures sweep the
+    settings' PM values (or network sizes, at PM 0) over its seeds with
+    sender :data:`~repro.experiments.figures.MISBEHAVING_NODE` as the
+    cheater; fig9a's seeds are its ``random_topologies`` placements,
+    1000, 1001, ...  The ``detectors`` grid keeps each settings token
+    as it is (``window``, not ``-``), so configs and their fingerprints
+    stay those of the settings' detector specs.
+    """
+    circle8 = ScenarioAxis("circle", 8)
+    both = (PROTOCOL_80211, PROTOCOL_CORRECT)
+    grid = CampaignSpec(
+        scenarios=(circle8,), pm_values=tuple(settings.pm_values),
+        cheater=MISBEHAVING_NODE, seeds=tuple(settings.seeds),
+        duration_us=settings.duration_us,
+    )
+    if figure_id == "fig4":
+        two_flow = ScenarioAxis("circle", 8, interferers=True)
+        return replace(grid, scenarios=(circle8, two_flow))
+    if figure_id == "fig5":
+        return replace(grid, protocols=both)
+    if figure_id in ("fig6", "fig7"):
+        return replace(grid, protocols=both, pm_values=(0.0,), scenarios=tuple(
+            ScenarioAxis("circle", n, interferers)
+            for interferers in (False, True)
+            for n in settings.network_sizes
+        ))
+    if figure_id == "fig9a":
+        return replace(
+            grid,
+            scenarios=(ScenarioAxis(
+                "random", settings.random_nodes,
+                misbehaving=settings.random_misbehaving,
+            ),),
+            seeds=tuple(range(1000, 1000 + settings.random_topologies)),
+        )
+    if figure_id == "detectors":
+        return replace(grid, detectors=tuple(settings.detectors))
+    raise ReportError(f"{figure_id!r} is not a campaign-grid figure")
 
 
 def figure_from_dataset(
@@ -864,8 +931,10 @@ __all__ = [
     "ReportError",
     "ShardInfo",
     "SkippedRecord",
+    "dataset_from_runs",
     "export_csv",
     "figure_from_dataset",
+    "figure_spec",
     "group_diagnostics",
     "load_dataset",
     "merge_journals",

@@ -15,7 +15,8 @@ into settled journal records.  Its durability contract:
   already-settled fingerprints are skipped *before* the executor (and
   therefore before the ``RunCache``) ever sees them, and a fingerprint
   is journaled at most once — interrupted-then-resumed campaigns
-  append no duplicate records.
+  append no duplicate records.  A replayed record whose fingerprint
+  is not in the grid settles nothing; its cell runs again.
 * **Bit-identical aggregates.**  Cells execute, journal and aggregate
   in one deterministic total order (spec expansion order, filtered by
   settledness).  A truncated journal is always an order-preserving
@@ -39,7 +40,7 @@ import pathlib
 import signal
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, List, Optional, Sequence, Set, TextIO, Tuple
 
 from repro.experiments.cache import (
     UncacheableConfigError,
@@ -246,11 +247,18 @@ def _replay_journal(
     journal_path: pathlib.Path,
     spec_text: str,
     shard: Tuple[int, int],
+    grid: Set[str],
     aggregator: CampaignAggregator,
     progress: Optional[TextIO],
 ) -> Tuple[Dict[str, dict], bool, bool]:
-    """Load settled records; returns (settled-by-fp, has_header, truncated)."""
+    """Load settled records; returns (settled-by-fp, has_header, truncated).
+
+    A record whose fingerprint is not in ``grid`` — written before a
+    change that moved its cell's config — settles nothing: it stays in
+    the journal but not in the aggregates, and its cell runs again.
+    """
     settled: Dict[str, dict] = {}
+    stale = 0
     has_header = False
     result = read_journal(journal_path)
     if result.truncated and progress is not None:
@@ -292,6 +300,9 @@ def _replay_journal(
         if kind != "run":
             continue
         fingerprint = record.get("fp")
+        if fingerprint not in grid:
+            stale += 1
+            continue
         if fingerprint in settled:
             # Should be impossible (settlement is checked before every
             # append); tolerate a hand-edited journal by keeping the
@@ -299,6 +310,12 @@ def _replay_journal(
             continue
         settled[fingerprint] = record
         aggregator.add(record, offset=position)
+    if stale and progress is not None:
+        print(
+            f"[campaign] ignoring {stale} journal record(s) whose "
+            "fingerprint is not a cell of this grid; those cells re-run",
+            file=progress,
+        )
     return settled, has_header, result.truncated
 
 
@@ -346,7 +363,8 @@ def run_cells(
     truncated = False
     if resume and journal_path.exists():
         settled, has_header, truncated = _replay_journal(
-            journal_path, spec_text, shard, aggregator, progress
+            journal_path, spec_text, shard, {fp for fp, _ in fingerprinted},
+            aggregator, progress,
         )
     resumed = sum(1 for fp, _ in fingerprinted if fp in settled)
 

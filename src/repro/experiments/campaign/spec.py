@@ -75,7 +75,9 @@ class ScenarioAxis:
     senders (ZERO-FLOW, or TWO-FLOW with the interferers); at
     ``pm > 0`` the spec's ``cheater`` sender misbehaves.
     ``random:N/M`` is the Figure 9 setup — N randomly placed nodes per
-    seed, of which M misbehave at ``pm > 0``.
+    seed, of which M are designated cheaters and misbehave at ``pm >
+    0``.  They are designated at ``pm = 0`` too (and stay honest), so
+    every PM of one seed places the same network with the same flows.
     """
 
     kind: str
@@ -430,7 +432,7 @@ def _build_topology(axis: ScenarioAxis, pm: float, cheater: int, seed: int):
     return random_topology(
         random.Random(seed),
         n_nodes=axis.nodes,
-        n_misbehaving=axis.misbehaving if pm > 0 else 0,
+        n_misbehaving=axis.misbehaving,
         pm_percent=pm,
     )
 

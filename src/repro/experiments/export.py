@@ -19,7 +19,7 @@ import time
 from typing import Dict, Iterable, Optional
 
 from repro.experiments.executor import ExperimentExecutor
-from repro.experiments.figures import ALL_FIGURES, FigureResult
+from repro.experiments.figures import FIGURES, FigureResult, generate_figures
 from repro.experiments.report import render_table, to_json
 from repro.experiments.settings import DEFAULT_SETTINGS, EvalSettings
 
@@ -32,11 +32,9 @@ def export_figure(
     executor: Optional[ExperimentExecutor] = None,
 ) -> FigureResult:
     """Generate one figure and write ``<id>.txt`` and ``<id>.json``."""
-    if figure_id not in ALL_FIGURES:
-        raise KeyError(
-            f"unknown figure {figure_id!r}; known: {sorted(ALL_FIGURES)}"
-        )
-    fig = ALL_FIGURES[figure_id](settings, workers=workers, executor=executor)
+    fig = generate_figures(
+        [figure_id], settings, workers=workers, executor=executor
+    )[figure_id]
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{figure_id}.txt").write_text(
         render_table(fig) + "\n", encoding="utf-8"
@@ -63,7 +61,7 @@ def export_all(
     :class:`ExperimentExecutor`.
     """
     directory = pathlib.Path(out_dir)
-    wanted = list(figure_ids) if figure_ids is not None else list(ALL_FIGURES)
+    wanted = list(figure_ids) if figure_ids is not None else list(FIGURES)
     results: Dict[str, FigureResult] = {}
     with ExperimentExecutor(workers=workers) as executor:
         for figure_id in wanted:

@@ -9,23 +9,37 @@ asserts its qualitative shape.
 
 Execution model
 ---------------
-Internally every figure is written as a *planner*: a generator that
+:data:`FIGURES` maps every figure id to a *planner*: a generator that
 first contributes all of its ``ScenarioConfig`` tasks to a shared
 :class:`~repro.experiments.executor.TaskBatch`, then ``yield``\\ s once
 (the execution barrier), and finally reduces the results into the
-figure's series.  The public ``figureN`` functions execute their own
-batch; :func:`generate_figures` flattens *several* figures into one
-global batch so a single persistent worker pool sees the entire
-(figure x sweep-point x seed) grid at once — no per-point pool churn
-and no idle workers at sweep-point boundaries.  Because every run is
-fully determined by its config, the batched schedule produces
-bit-identical figures to sequential execution.
+figure's series.  :func:`generate_figures` flattens *several* figures
+into one global batch so a single persistent worker pool sees the
+entire (figure x sweep-point x seed) grid at once — no per-point pool
+churn and no idle workers at sweep-point boundaries; each ``figureN``
+function is that call for one id.  Because every run is fully
+determined by its config, the batched schedule produces bit-identical
+figures to sequential execution.
+
+The seed-averaged figures — fig4, fig5, fig6, fig7, fig9a and the
+detectors' operating points — are journal-less campaigns: their
+planner expands the figure's campaign grid
+(:func:`~repro.experiments.campaign.analysis.figure_spec`), runs the
+cells, turns each outcome into the row a campaign journal would hold
+(:func:`~repro.experiments.campaign.analysis.dataset_from_runs`) and
+hands the rows to the figure's one builder
+(:func:`~repro.experiments.campaign.analysis.figure_from_dataset`), the
+same builder that reports a campaign from its journal.  fig8, fig9b,
+intro, delay, faults and the detectors' time-to-detection series read
+per-run state a journal does not record, so they reduce their
+``RunResult``\\ s here.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.sender_policy import ShrunkenWindowPolicy
@@ -85,6 +99,27 @@ class FigureResult:
         """Record that runs behind (series, x) failed (None: whole series)."""
         self.failed_points.setdefault(series_name, []).append(x)
 
+    def add_stat_point(
+        self, series_name: str, x: float,
+        values: Sequence[Optional[float]], scale: float = 1.0,
+    ) -> None:
+        """Add the across-seed mean of per-run values, with its 95% CI.
+
+        ``None`` stands for a run that failed (a ``FailedRun``, or a
+        dataset row that is not ok): it is dropped from the statistic
+        and recorded on the figure, so the point is degraded when some
+        seeds survive and omitted entirely when none do.
+        """
+        ok = [value for value in values if value is not None]
+        if len(ok) < len(values):
+            self.mark_failed(series_name, x)
+        if not ok:
+            return
+        stats = summarize(ok)
+        self.add_point(
+            series_name, x, stats.mean * scale, error=stats.ci95 * scale
+        )
+
     @property
     def has_failures(self) -> bool:
         """Whether any sweep point lost runs to execution failures."""
@@ -119,6 +154,9 @@ def _scale_meta(settings: EvalSettings) -> Dict[str, object]:
     }
 
 
+PROTOCOL_LABELS = ((PROTOCOL_80211, "802.11"), (PROTOCOL_CORRECT, "CORRECT"))
+
+
 def _ok(results: Sequence[object]) -> List[RunResult]:
     """The actual results of a batch slice (drops FailedRun entries)."""
     return [r for r in results if isinstance(r, RunResult)]
@@ -128,48 +166,12 @@ def _avg(results: Sequence[RunResult], metric) -> float:
     return mean([metric(r) for r in _ok(results)])
 
 
-def _add_stat_point(
-    fig: FigureResult,
-    name: str,
-    x: float,
-    results: Sequence[object],
-    metric,
-    scale: float = 1.0,
-) -> None:
-    """Add the across-seed mean of a metric, with its 95% CI.
-
-    Failed runs (``on_failure="flag"`` placeholders) are dropped from
-    the statistic and recorded on the figure: the point is degraded
-    when some seeds survive, and omitted entirely when none do.
-    """
-    ok = _ok(results)
-    if len(ok) < len(results):
-        fig.mark_failed(name, x)
-    if not ok:
-        return
-    stats = summarize([metric(r) for r in ok])
-    fig.add_point(name, x, stats.mean * scale, error=stats.ci95 * scale)
-
-
-# ----------------------------------------------------------------------
-# Planner plumbing
-# ----------------------------------------------------------------------
-def _materialize(
-    planner,
-    settings: EvalSettings,
-    workers: Optional[int],
-    executor: Optional[ExperimentExecutor],
-) -> FigureResult:
-    """Drive one planner through its plan / execute / reduce phases."""
-    batch = TaskBatch()
-    gen = planner(settings, batch)
-    next(gen)
-    batch.execute(executor=executor, workers=workers)
-    try:
-        next(gen)
-    except StopIteration as stop:
-        return stop.value
-    raise RuntimeError("figure planner yielded more than once")
+def _values(results: Sequence[object], metric: str) -> List[Optional[float]]:
+    """One metric per run (``None`` for a FailedRun placeholder)."""
+    return [
+        getattr(r, metric) if isinstance(r, RunResult) else None
+        for r in results
+    ]
 
 
 def generate_figures(
@@ -186,12 +188,12 @@ def generate_figures(
     figure id and are bit-identical to calling each ``figureN``
     individually.
     """
-    wanted = list(ids) if ids is not None else list(PLANNERS)
-    unknown = [fid for fid in wanted if fid not in PLANNERS]
+    wanted = list(ids) if ids is not None else list(FIGURES)
+    unknown = [fid for fid in wanted if fid not in FIGURES]
     if unknown:
-        raise KeyError(f"unknown figure ids {unknown}; known: {list(PLANNERS)}")
+        raise KeyError(f"unknown figure ids {unknown}; known: {list(FIGURES)}")
     batch = TaskBatch()
-    gens = [(fid, PLANNERS[fid](settings, batch)) for fid in wanted]
+    gens = [(fid, FIGURES[fid](settings, batch)) for fid in wanted]
     for _, gen in gens:
         next(gen)
     batch.execute(executor=executor, workers=workers)
@@ -206,43 +208,85 @@ def generate_figures(
     return figures
 
 
+def _generate_one(
+    figure_id: str,
+    settings: EvalSettings,
+    workers: Optional[int],
+    executor: Optional[ExperimentExecutor],
+) -> FigureResult:
+    figures = generate_figures([figure_id], settings, workers, executor)
+    return figures[figure_id]
+
+
 # ----------------------------------------------------------------------
-# Figure 4 — diagnosis accuracy vs magnitude of misbehavior
+# Campaign-grid figures: 4, 5, 6, 7, 9a and the detectors' operating point
 # ----------------------------------------------------------------------
-def _figure4_plan(settings: EvalSettings, batch: TaskBatch):
-    fig = FigureResult(
-        figure_id="fig4",
-        title="Diagnosis accuracy for varying magnitude of misbehavior",
-        x_label="Percentage of Misbehavior (PM)",
-        y_label="percentage of packets",
-        meta=_scale_meta(settings),
+def _grid_plan(figure_id: str, settings: EvalSettings, batch: TaskBatch):
+    """Plan a seed-averaged figure as a journal-less campaign.
+
+    The cells go into the batch grouped by scenario variant, then
+    protocol (each group in expansion order, seeds innermost): the
+    order these sweeps have always been submitted in, which the
+    sim-grid benchmark's outcome digest pins.
+    """
+    from repro.experiments.campaign.analysis import (
+        dataset_from_runs,
+        figure_from_dataset,
+        figure_spec,
     )
-    points = []
-    for scenario, with_interferers in (("ZERO-FLOW", False), ("TWO-FLOW", True)):
-        for pm in settings.pm_values:
-            topo = circle_topology(
-                8, misbehaving=(MISBEHAVING_NODE,), pm_percent=pm,
-                with_interferers=with_interferers,
-            )
-            config = ScenarioConfig(
-                topology=topo, protocol=PROTOCOL_CORRECT,
-                duration_us=settings.duration_us,
-            )
-            points.append(
-                (scenario, pm, batch.add_seeds(config, settings.seeds))
-            )
+    from repro.experiments.campaign.spec import expand_cells
+
+    spec = figure_spec(figure_id, settings)
+    cells = sorted(expand_cells(spec), key=lambda cell: (
+        cell.axis.interferers, spec.protocols.index(cell.protocol)
+    ))
+    handle = batch.add([cell.config for cell in cells])
     yield
-    for scenario, pm, handle in points:
-        results = handle.results
-        _add_stat_point(
-            fig, f"{scenario} correct diagnosis", pm, results,
-            lambda r: r.correct_diagnosis_percent,
-        )
-        _add_stat_point(
-            fig, f"{scenario} misdiagnosis", pm, results,
-            lambda r: r.misdiagnosis_percent,
-        )
+    dataset = dataset_from_runs(spec, cells, handle.results)
+    fig = figure_from_dataset(dataset, figure_id)
+    # The settings' scale, like every in-memory figure: fig9a's "seeds"
+    # counts the settings' seeds, not its placements.
+    fig.meta.update(_scale_meta(settings))
+    if figure_id == "detectors":
+        _add_latency_series(fig, cells, handle.results)
     return fig
+
+
+def _add_latency_series(fig: FigureResult, cells, results) -> None:
+    """Each detector's time to detection of the cheater (PM > 0 only).
+
+    A latency is per-run state the journal does not record, so it is
+    reduced from the runs here: averaged over the seeds in which the
+    misbehaving sender got flagged at all, so a sweep point where no
+    seed flagged has no latency sample (the detection-% series already
+    shows the miss).
+    """
+    runs: Dict[Tuple[str, float], List[RunResult]] = {}
+    for cell, result in zip(cells, results):
+        if cell.pm > 0 and isinstance(result, RunResult):
+            runs.setdefault((cell.detector, cell.pm), []).append(result)
+    latency: Dict[str, List[Tuple[float, float]]] = {}
+    for (detector, pm), ok in runs.items():
+        packets = [r.detection_latency_packets(MISBEHAVING_NODE) for r in ok]
+        micros = [r.detection_latency_us(MISBEHAVING_NODE) for r in ok]
+        for name, samples, per_unit in (
+            (f"{detector} - TTD (pkts)", packets, 1.0),
+            (f"{detector} - TTD (ms)", micros, 1000.0),
+        ):
+            flagged = [v for v in samples if v is not None]
+            if flagged:
+                latency.setdefault(name, []).append(
+                    (pm, mean(flagged) / per_unit)
+                )
+    # Each detector's TTD series follow its own operating-point series.
+    series: Dict[str, List[Tuple[float, float]]] = {}
+    for detector in dict.fromkeys(cell.detector for cell in cells):
+        for kind in ("detection %", "false alarm %", "TTD (pkts)", "TTD (ms)"):
+            name = f"{detector} - {kind}"
+            points = fig.series.get(name, latency.get(name))
+            if points is not None:
+                series[name] = points
+    fig.series = series
 
 
 def figure4(
@@ -256,100 +300,16 @@ def figure4(
     the swept PM, for both ZERO-FLOW and TWO-FLOW scenarios, under the
     CORRECT protocol.
     """
-    return _materialize(_figure4_plan, settings, workers, executor)
-
-
-# ----------------------------------------------------------------------
-# Figure 5 — throughput comparison, 802.11 vs CORRECT, vs PM
-# ----------------------------------------------------------------------
-def _figure5_plan(
-    settings: EvalSettings, batch: TaskBatch, with_interferers: bool = False
-):
-    fig = FigureResult(
-        figure_id="fig5",
-        title="Throughput comparison between IEEE 802.11 and proposed scheme",
-        x_label="Percentage of Misbehavior (PM)",
-        y_label="throughput (Kbps)",
-        meta=_scale_meta(settings),
-    )
-    points = []
-    for protocol, label in ((PROTOCOL_80211, "802.11"), (PROTOCOL_CORRECT, "CORRECT")):
-        for pm in settings.pm_values:
-            topo = circle_topology(
-                8, misbehaving=(MISBEHAVING_NODE,), pm_percent=pm,
-                with_interferers=with_interferers,
-            )
-            config = ScenarioConfig(
-                topology=topo, protocol=protocol,
-                duration_us=settings.duration_us,
-            )
-            points.append(
-                (label, pm, batch.add_seeds(config, settings.seeds))
-            )
-    yield
-    for label, pm, handle in points:
-        results = handle.results
-        _add_stat_point(
-            fig, f"{label} - MSB", pm, results,
-            lambda r: r.msb_throughput_bps, scale=1e-3,
-        )
-        _add_stat_point(
-            fig, f"{label} - AVG", pm, results,
-            lambda r: r.avg_throughput_bps, scale=1e-3,
-        )
-    return fig
+    return _generate_one("fig4", settings, workers, executor)
 
 
 def figure5(
     settings: EvalSettings = DEFAULT_SETTINGS,
     workers: Optional[int] = None,
-    with_interferers: bool = False,
     executor: Optional[ExperimentExecutor] = None,
 ) -> FigureResult:
     """MSB and AVG throughput vs PM for both protocols (Figure 5)."""
-    return _materialize(
-        lambda s, b: _figure5_plan(s, b, with_interferers),
-        settings, workers, executor,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figures 6 and 7 — behaviour without misbehavior, vs network size
-# ----------------------------------------------------------------------
-def _size_sweep_points(settings: EvalSettings, batch: TaskBatch):
-    points = []
-    for scenario, with_interferers in (("ZERO-FLOW", False), ("TWO-FLOW", True)):
-        for protocol, label in (
-            (PROTOCOL_80211, "802.11"), (PROTOCOL_CORRECT, "CORRECT")
-        ):
-            for n in settings.network_sizes:
-                topo = circle_topology(n, with_interferers=with_interferers)
-                config = ScenarioConfig(
-                    topology=topo, protocol=protocol,
-                    duration_us=settings.duration_us,
-                )
-                points.append(
-                    (scenario, label, n, batch.add_seeds(config, settings.seeds))
-                )
-    return points
-
-
-def _figure6_plan(settings: EvalSettings, batch: TaskBatch):
-    fig = FigureResult(
-        figure_id="fig6",
-        title="Throughput comparison without misbehavior for varying network sizes",
-        x_label="number of senders",
-        y_label="average throughput (Kbps)",
-        meta=_scale_meta(settings),
-    )
-    points = _size_sweep_points(settings, batch)
-    yield
-    for scenario, label, n, handle in points:
-        _add_stat_point(
-            fig, f"{scenario} {label}", n, handle.results,
-            lambda r: r.avg_throughput_bps, scale=1e-3,
-        )
-    return fig
+    return _generate_one("fig5", settings, workers, executor)
 
 
 def figure6(
@@ -358,25 +318,7 @@ def figure6(
     executor: Optional[ExperimentExecutor] = None,
 ) -> FigureResult:
     """Average per-sender throughput vs network size (Figure 6)."""
-    return _materialize(_figure6_plan, settings, workers, executor)
-
-
-def _figure7_plan(settings: EvalSettings, batch: TaskBatch):
-    fig = FigureResult(
-        figure_id="fig7",
-        title="Comparison of fairness index between IEEE 802.11 and proposed scheme",
-        x_label="number of senders",
-        y_label="fairness index",
-        meta=_scale_meta(settings),
-    )
-    points = _size_sweep_points(settings, batch)
-    yield
-    for scenario, label, n, handle in points:
-        _add_stat_point(
-            fig, f"{scenario} {label}", n, handle.results,
-            lambda r: r.fairness_index,
-        )
-    return fig
+    return _generate_one("fig6", settings, workers, executor)
 
 
 def figure7(
@@ -385,7 +327,38 @@ def figure7(
     executor: Optional[ExperimentExecutor] = None,
 ) -> FigureResult:
     """Jain's fairness index vs network size (Figure 7)."""
-    return _materialize(_figure7_plan, settings, workers, executor)
+    return _generate_one("fig7", settings, workers, executor)
+
+
+def figure9a(
+    settings: EvalSettings = DEFAULT_SETTINGS,
+    workers: Optional[int] = None,
+    executor: Optional[ExperimentExecutor] = None,
+) -> FigureResult:
+    """Diagnosis accuracy vs PM over random topologies (Figure 9a)."""
+    return _generate_one("fig9a", settings, workers, executor)
+
+
+def figure_detectors(
+    settings: EvalSettings = DEFAULT_SETTINGS,
+    workers: Optional[int] = None,
+    executor: Optional[ExperimentExecutor] = None,
+) -> FigureResult:
+    """Compare detectors' operating points and detection latency.
+
+    For every detector spec in ``settings.detectors`` (by default the
+    paper's W/THRESH window, a one-sided CUSUM, and a CWmin estimator
+    — see :mod:`repro.detect`) the ZERO-FLOW circle is swept over PM.
+    Four series per detector:
+
+    * ``detection %`` / ``false alarm %`` — the per-observation
+      operating point (an ROC-style table: detection on misbehaving
+      senders' judged packets vs. false alarms on honest ones);
+    * ``TTD (pkts)`` / ``TTD (ms)`` — mean time to detection of the
+      misbehaving sender, in judged packets and in simulated time,
+      over the seeds in which it was flagged at all (PM > 0 only).
+    """
+    return _generate_one("detectors", settings, workers, executor)
 
 
 # ----------------------------------------------------------------------
@@ -435,68 +408,16 @@ def figure8(
     executor: Optional[ExperimentExecutor] = None,
 ) -> FigureResult:
     """Correct-diagnosis percentage over time, TWO-FLOW (Figure 8)."""
-    return _materialize(_figure8_plan, settings, workers, executor)
+    return _generate_one("fig8", settings, workers, executor)
 
 
 # ----------------------------------------------------------------------
-# Figure 9 — random topologies
+# Figure 9b — throughput over random topologies
 # ----------------------------------------------------------------------
-def _random_configs(
-    settings: EvalSettings, protocol: str, pm: float
-) -> List[ScenarioConfig]:
-    configs = []
-    for index in range(settings.random_topologies):
-        topo = random_topology(
-            random.Random(1000 + index),
-            n_nodes=settings.random_nodes,
-            n_misbehaving=settings.random_misbehaving,
-            pm_percent=pm,
-        )
-        configs.append(
-            ScenarioConfig(
-                topology=topo, protocol=protocol,
-                duration_us=settings.duration_us, seed=1000 + index,
-            )
-        )
-    return configs
-
-
-def _figure9a_plan(settings: EvalSettings, batch: TaskBatch):
-    fig = FigureResult(
-        figure_id="fig9a",
-        title="Diagnosis accuracy, random topology (40 nodes, 1500m x 700m)",
-        x_label="Percentage of Misbehavior (PM)",
-        y_label="percentage of packets",
-        meta=_scale_meta(settings),
-    )
-    points = [
-        (pm, batch.add(_random_configs(settings, PROTOCOL_CORRECT, pm)))
-        for pm in settings.pm_values
-    ]
-    yield
-    for pm, handle in points:
-        results = handle.results
-        _add_stat_point(
-            fig, "correct diagnosis", pm, results,
-            lambda r: r.correct_diagnosis_percent,
-        )
-        _add_stat_point(
-            fig, "misdiagnosis", pm, results,
-            lambda r: r.misdiagnosis_percent,
-        )
-    return fig
-
-
-def figure9a(
-    settings: EvalSettings = DEFAULT_SETTINGS,
-    workers: Optional[int] = None,
-    executor: Optional[ExperimentExecutor] = None,
-) -> FigureResult:
-    """Diagnosis accuracy vs PM over random topologies (Figure 9a)."""
-    return _materialize(_figure9a_plan, settings, workers, executor)
-
-
 def _figure9b_plan(settings: EvalSettings, batch: TaskBatch):
+    from repro.experiments.campaign.analysis import figure_spec
+    from repro.experiments.campaign.spec import expand_cells
+
     fig = FigureResult(
         figure_id="fig9b",
         title="Throughput, random topology (40 nodes, 1500m x 700m)",
@@ -518,13 +439,15 @@ def _figure9b_plan(settings: EvalSettings, batch: TaskBatch):
         )
         for index in range(settings.random_topologies)
     ]
-    honest = batch.add(_random_configs(settings, PROTOCOL_CORRECT, 0.0))
-    points = []
-    for protocol, label in ((PROTOCOL_80211, "802.11"), (PROTOCOL_CORRECT, "CORRECT")):
-        for pm in settings.pm_values:
-            points.append(
-                (label, pm, batch.add(_random_configs(settings, protocol, pm)))
-            )
+    # fig9a's random cells: honest at PM 0, then both protocols.
+    grid = figure_spec("fig9a", settings)
+    honest = batch.add([
+        cell.config for cell in expand_cells(replace(grid, pm_values=(0.0,)))
+    ])
+    cells = expand_cells(
+        replace(grid, protocols=(PROTOCOL_80211, PROTOCOL_CORRECT))
+    )
+    handle = batch.add([cell.config for cell in cells])
     yield
     baselines = []
     for topo_index, result in enumerate(honest.results):
@@ -536,16 +459,16 @@ def _figure9b_plan(settings: EvalSettings, batch: TaskBatch):
             tps[n] for n in designated[topo_index] if n in tps
         )
     fig.meta["cheaters_fair_share_kbps"] = mean(baselines) / 1000.0
-    for label, pm, handle in points:
-        results = handle.results
-        _add_stat_point(
-            fig, f"{label} - MSB", pm, results,
-            lambda r: r.msb_throughput_bps, scale=1e-3,
-        )
-        _add_stat_point(
-            fig, f"{label} - AVG", pm, results,
-            lambda r: r.avg_throughput_bps, scale=1e-3,
-        )
+    points: Dict[Tuple[str, float], List[object]] = {}
+    for cell, result in zip(cells, handle.results):
+        points.setdefault((cell.protocol, cell.pm), []).append(result)
+    labels = dict(PROTOCOL_LABELS)
+    for (protocol, pm), results in points.items():
+        label = labels[protocol]
+        fig.add_stat_point(f"{label} - MSB", pm,
+                           _values(results, "msb_throughput_bps"), scale=1e-3)
+        fig.add_stat_point(f"{label} - AVG", pm,
+                           _values(results, "avg_throughput_bps"), scale=1e-3)
     return fig
 
 
@@ -562,7 +485,7 @@ def figure9b(
     cheaters' local contention differs from the network average, so
     "restricted to a fair share" is judged against this baseline.
     """
-    return _materialize(_figure9b_plan, settings, workers, executor)
+    return _generate_one("fig9b", settings, workers, executor)
 
 
 # ----------------------------------------------------------------------
@@ -623,7 +546,7 @@ def intro_claim(
     backoff values from range [0, CW/4], the throughput of the other 7
     nodes is degraded by as much as 50%".
     """
-    return _materialize(_intro_claim_plan, settings, workers, executor)
+    return _generate_one("intro", settings, workers, executor)
 
 
 # ----------------------------------------------------------------------
@@ -638,7 +561,7 @@ def _figure_delay_plan(settings: EvalSettings, batch: TaskBatch):
         meta=_scale_meta(settings),
     )
     points = []
-    for protocol, label in ((PROTOCOL_80211, "802.11"), (PROTOCOL_CORRECT, "CORRECT")):
+    for protocol, label in PROTOCOL_LABELS:
         for pm in settings.pm_values:
             topo = circle_topology(
                 8, misbehaving=(MISBEHAVING_NODE,), pm_percent=pm,
@@ -689,7 +612,7 @@ def figure_delay(
     802.11 the cheater's access delay collapses while honest senders
     queue longer; under CORRECT the penalties equalise delays again.
     """
-    return _materialize(_figure_delay_plan, settings, workers, executor)
+    return _generate_one("delay", settings, workers, executor)
 
 
 # ----------------------------------------------------------------------
@@ -725,14 +648,10 @@ def _figure_faults_plan(settings: EvalSettings, batch: TaskBatch):
     yield
     for rate, handle in points:
         results = handle.results
-        _add_stat_point(
-            fig, "correct diagnosis", rate, results,
-            lambda r: r.correct_diagnosis_percent,
-        )
-        _add_stat_point(
-            fig, "misdiagnosis", rate, results,
-            lambda r: r.misdiagnosis_percent,
-        )
+        fig.add_stat_point("correct diagnosis", rate,
+                           _values(results, "correct_diagnosis_percent"))
+        fig.add_stat_point("misdiagnosis", rate,
+                           _values(results, "misdiagnosis_percent"))
     return fig
 
 
@@ -752,116 +671,20 @@ def figure_faults(
     correct diagnosis erodes and misdiagnosis of honest senders grows
     as the channel degrades.
     """
-    return _materialize(_figure_faults_plan, settings, workers, executor)
+    return _generate_one("faults", settings, workers, executor)
 
 
-# ----------------------------------------------------------------------
-# Extension figure: detector comparison (operating point + latency)
-# ----------------------------------------------------------------------
-def _figure_detectors_plan(settings: EvalSettings, batch: TaskBatch):
-    fig = FigureResult(
-        figure_id="detectors",
-        title="Detector comparison: operating point and detection latency",
-        x_label="Percentage of Misbehavior (PM)",
-        y_label="percentage of judged packets / detection latency",
-        meta=_scale_meta(settings),
-    )
-    fig.meta["detectors"] = list(settings.detectors)
-    points = []
-    for spec in settings.detectors:
-        for pm in settings.pm_values:
-            topo = circle_topology(
-                8, misbehaving=(MISBEHAVING_NODE,), pm_percent=pm,
-                with_interferers=False,
-            )
-            config = ScenarioConfig(
-                topology=topo, protocol=PROTOCOL_CORRECT,
-                duration_us=settings.duration_us, detector=spec,
-            )
-            points.append((spec, pm, batch.add_seeds(config, settings.seeds)))
-    yield
-    for spec, pm, handle in points:
-        results = handle.results
-        _add_stat_point(
-            fig, f"{spec} - detection %", pm, results,
-            lambda r: r.detection_rate_percent,
-        )
-        _add_stat_point(
-            fig, f"{spec} - false alarm %", pm, results,
-            lambda r: r.false_alarm_percent,
-        )
-        if pm <= 0:
-            continue
-        # Time to detection: averaged over the seeds in which the
-        # misbehaving sender got flagged at all; a sweep point where no
-        # seed flagged simply has no latency sample (the detection-%
-        # series already shows the miss).
-        ok = _ok(results)
-        latency_pkts = [
-            v for v in (
-                r.detection_latency_packets(MISBEHAVING_NODE) for r in ok
-            ) if v is not None
-        ]
-        latency_us = [
-            v for v in (
-                r.detection_latency_us(MISBEHAVING_NODE) for r in ok
-            ) if v is not None
-        ]
-        if latency_pkts:
-            fig.add_point(f"{spec} - TTD (pkts)", pm, mean(latency_pkts))
-        if latency_us:
-            fig.add_point(f"{spec} - TTD (ms)", pm, mean(latency_us) / 1000.0)
-    return fig
-
-
-def figure_detectors(
-    settings: EvalSettings = DEFAULT_SETTINGS,
-    workers: Optional[int] = None,
-    executor: Optional[ExperimentExecutor] = None,
-) -> FigureResult:
-    """Compare detectors' operating points and detection latency.
-
-    For every detector spec in ``settings.detectors`` (by default the
-    paper's W/THRESH window, a one-sided CUSUM, and a CWmin estimator
-    — see :mod:`repro.detect`) the ZERO-FLOW circle is swept over PM.
-    Four series per detector:
-
-    * ``detection %`` / ``false alarm %`` — the per-observation
-      operating point (an ROC-style table: detection on misbehaving
-      senders' judged packets vs. false alarms on honest ones);
-    * ``TTD (pkts)`` / ``TTD (ms)`` — mean time to detection of the
-      misbehaving sender, in judged packets and in simulated time,
-      over the seeds in which it was flagged at all (PM > 0 only).
-    """
-    return _materialize(_figure_detectors_plan, settings, workers, executor)
-
-
-#: Planner registry backing :func:`generate_figures`.
-PLANNERS = {
-    "fig4": _figure4_plan,
-    "fig5": _figure5_plan,
-    "fig6": _figure6_plan,
-    "fig7": _figure7_plan,
+#: The figure registry: each id's planner (see the module docstring).
+FIGURES = {
+    "fig4": partial(_grid_plan, "fig4"),
+    "fig5": partial(_grid_plan, "fig5"),
+    "fig6": partial(_grid_plan, "fig6"),
+    "fig7": partial(_grid_plan, "fig7"),
     "fig8": _figure8_plan,
-    "fig9a": _figure9a_plan,
+    "fig9a": partial(_grid_plan, "fig9a"),
     "fig9b": _figure9b_plan,
     "intro": _intro_claim_plan,
     "delay": _figure_delay_plan,
     "faults": _figure_faults_plan,
-    "detectors": _figure_detectors_plan,
-}
-
-#: Registry used by the report CLI and the benchmark suite.
-ALL_FIGURES = {
-    "fig4": figure4,
-    "fig5": figure5,
-    "fig6": figure6,
-    "fig7": figure7,
-    "fig8": figure8,
-    "fig9a": figure9a,
-    "fig9b": figure9b,
-    "intro": intro_claim,
-    "delay": figure_delay,
-    "faults": figure_faults,
-    "detectors": figure_detectors,
+    "detectors": partial(_grid_plan, "detectors"),
 }

@@ -25,12 +25,11 @@ Beyond the scale selection this module also centralises the other
   (events per run / wall seconds per run); setting either arms a
   :class:`repro.sim.engine.Watchdog` inside every scenario build, so
   a stuck simulation raises ``SimulationStalled`` with an event trace
-  instead of spinning forever;
-* ``REPRO_SERVICE_SHARDS`` / ``REPRO_SERVICE_ENTRIES`` /
-  ``REPRO_SERVICE_WORKERS`` — default geometry of the online
-  detection service (``python -m repro serve``): shard count,
-  per-shard LRU entry budget, and ingest worker processes (see
-  :mod:`repro.service`).  CLI flags override all three.
+  instead of spinning forever.
+
+The online detection service's geometry (shard count, per-shard LRU
+budget, ingest workers) has no knob here: ``python -m repro serve
+--shards/--max-entries/--workers`` is the one way to set it.
 
 A knob counts as "set" when its value is non-empty and not ``"0"``,
 so ``REPRO_CACHE=0`` is an explicit off.
@@ -164,24 +163,6 @@ def max_retries() -> int:
     """Retry budget per task from ``REPRO_RETRIES`` (default 2)."""
     value = _env_number("REPRO_RETRIES", int, 0)
     return 2 if value is None else value
-
-
-def service_shards() -> Optional[int]:
-    """Service shard count from ``REPRO_SERVICE_SHARDS`` (None: the
-    service default, :data:`repro.service.store.DEFAULT_SHARDS`)."""
-    return _env_number("REPRO_SERVICE_SHARDS", int, 1)
-
-
-def service_shard_entries() -> Optional[int]:
-    """Per-shard LRU budget from ``REPRO_SERVICE_ENTRIES`` (None: the
-    service default, :data:`repro.service.store.DEFAULT_MAX_ENTRIES`)."""
-    return _env_number("REPRO_SERVICE_ENTRIES", int, 1)
-
-
-def service_workers() -> Optional[int]:
-    """Ingest worker processes from ``REPRO_SERVICE_WORKERS`` (None:
-    single-process; the ``serve --workers`` flag overrides)."""
-    return _env_number("REPRO_SERVICE_WORKERS", int, 1)
 
 
 def watchdog_from_env() -> Optional[Watchdog]:

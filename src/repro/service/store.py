@@ -37,9 +37,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.detect.base import Detector, Observation
 
-#: Default shard count (overridable; see ``REPRO_SERVICE_SHARDS``).
+#: Default shard count (``serve --shards`` overrides it).
 DEFAULT_SHARDS = 8
-#: Default per-shard entry budget (``REPRO_SERVICE_ENTRIES``).
+#: Default per-shard entry budget (``serve --max-entries`` overrides it).
 DEFAULT_MAX_ENTRIES = 10_000
 #: Flag/clear transitions kept per sender entry (oldest dropped).
 DEFAULT_TRANSITION_CAP = 64

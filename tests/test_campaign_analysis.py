@@ -35,7 +35,7 @@ from repro.experiments.campaign import (
     seeds_for_relative_ci,
 )
 from repro.experiments.executor import ExperimentExecutor
-from repro.experiments.figures import FigureResult, figure6, figure7
+from repro.experiments.figures import FigureResult, generate_figures
 from repro.experiments.report import render_table
 from repro.experiments.settings import EvalSettings
 from repro.__main__ import main
@@ -409,42 +409,101 @@ class TestDiagnostics:
         assert n > 1000
 
 
+#: In-memory settings whose figure grids match the campaigns below.
+BRIDGE_SETTINGS = EvalSettings(
+    duration_us=50_000, seeds=(1, 2), pm_values=(0.0, 60.0),
+    network_sizes=(2, 3), random_topologies=2, random_nodes=10,
+    random_misbehaving=2,
+)
+_SIZES = (
+    "scenario=circle:2|circle:3|circle:2+interferers|circle:3+interferers; "
+    "protocol=802.11|correct; pm=0; seeds=1-2; seconds=0.05"
+)
+BRIDGE_SPECS = {
+    "fig4": "scenario=circle:8|circle:8+interferers; pm=0|60; seeds=1-2; "
+            "seconds=0.05",
+    "fig5": "scenario=circle:8; protocol=802.11|correct; pm=0|60; "
+            "seeds=1-2; seconds=0.05",
+    "fig6": _SIZES,
+    "fig7": _SIZES,
+    "fig9a": "scenario=random:10/2; pm=0|60; seeds=1000-1001; seconds=0.05",
+    "detectors": "scenario=circle:8; pm=0|60; "
+                 "detector=window|cusum|estimator; seeds=1-2; seconds=0.05",
+}
+
+
 class TestFigureBridges:
-    @pytest.fixture(scope="class")
-    def bridge_campaign(self, tmp_path_factory, executor):
-        out = tmp_path_factory.mktemp("bridge") / "campaign.out"
-        spec = parse_campaign(
-            "scenario=circle:2|circle:3|circle:2+interferers"
-            "|circle:3+interferers; protocol=802.11|correct; pm=0; "
-            "seeds=1-2; seconds=0.05"
-        )
-        report = run_campaign(spec, out, executor=executor)
-        assert report.exit_code == 0
-        return load_dataset(out)
+    """A figure built from a campaign journal equals the in-memory one.
+
+    Both go through the same builder, so these tests pin the journal
+    round trip: the record the orchestrator writes, read back by
+    ``load_dataset``, must tabulate to the rows an in-memory sweep
+    builds from its results, for every campaign-grid figure.
+    """
 
     @pytest.fixture(scope="class")
-    def bridge_settings(self):
-        return EvalSettings(
-            duration_us=50_000, seeds=(1, 2), network_sizes=(2, 3)
+    def bridge(self, tmp_path_factory, executor):
+        datasets = {}
+
+        def build(figure_id):
+            text = BRIDGE_SPECS[figure_id]
+            if text not in datasets:
+                out = tmp_path_factory.mktemp("bridge") / "campaign.out"
+                report = run_campaign(
+                    parse_campaign(text), out, executor=executor
+                )
+                assert report.exit_code == 0
+                datasets[text] = load_dataset(out)
+            journal = figure_from_dataset(datasets[text], figure_id)
+            memory = generate_figures(
+                [figure_id], BRIDGE_SETTINGS, executor=executor
+            )[figure_id]
+            return journal, memory
+
+        return build
+
+    @staticmethod
+    def assert_same(journal, memory, series=None):
+        assert list(journal.series.items()) == list(
+            (series if series is not None else memory.series).items()
         )
-
-    def test_fig6_bit_identical_to_in_memory(
-        self, bridge_campaign, bridge_settings, executor
-    ):
-        memory = figure6(bridge_settings, executor=executor)
-        journal = figure_from_dataset(bridge_campaign, "fig6")
-        assert journal.series == memory.series
         assert journal.errors == memory.errors
-        assert journal.title == memory.title
-        assert journal.meta["source"] == "campaign"
+        assert journal.failed_points == memory.failed_points
+        assert (journal.title, journal.x_label, journal.y_label) == \
+            (memory.title, memory.x_label, memory.y_label)
+        assert journal.meta.pop("source") == "campaign"
+        journal.meta.pop("ttd", None)
+        assert journal.meta == memory.meta
 
-    def test_fig7_bit_identical_to_in_memory(
-        self, bridge_campaign, bridge_settings, executor
+    def test_fig4_bit_identical_to_in_memory(self, bridge):
+        self.assert_same(*bridge("fig4"))
+
+    def test_fig5_bit_identical_to_in_memory(self, bridge):
+        self.assert_same(*bridge("fig5"))
+
+    def test_fig6_bit_identical_to_in_memory(self, bridge):
+        self.assert_same(*bridge("fig6"))
+
+    def test_fig7_bit_identical_to_in_memory(self, bridge):
+        self.assert_same(*bridge("fig7"))
+
+    def test_fig9a_bit_identical_to_in_memory(self, bridge):
+        # Includes PM 0, where random:N/M must place the same network
+        # (cheaters designated, but honest) as at PM 60.
+        journal, memory = bridge("fig9a")
+        assert 0.0 in dict(journal.series["misdiagnosis"])
+        self.assert_same(journal, memory)
+
+    def test_detectors_operating_point_bit_identical_to_in_memory(
+        self, bridge
     ):
-        memory = figure7(bridge_settings, executor=executor)
-        journal = figure_from_dataset(bridge_campaign, "fig7")
-        assert journal.series == memory.series
-        assert journal.errors == memory.errors
+        journal, memory = bridge("detectors")
+        operating = {
+            name: points for name, points in memory.series.items()
+            if "TTD" not in name
+        }
+        assert len(operating) == 6 and len(memory.series) > 6
+        self.assert_same(journal, memory, series=operating)
 
     def test_unsatisfiable_figure_raises(self, reference):
         ds = load_dataset(reference["out"])

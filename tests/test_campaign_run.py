@@ -22,6 +22,8 @@ from repro.experiments.campaign import (
     EXIT_OK,
     JOURNAL_NAME,
     SUMMARY_NAME,
+    decode_record,
+    encode_record,
     parse_campaign,
     read_journal,
     run_campaign,
@@ -181,6 +183,28 @@ class TestResume:
         assert report.exit_code == EXIT_OK
         assert (torn_dir / SUMMARY_NAME).read_bytes() == ref_summary
         assert (torn_dir / JOURNAL_NAME).read_bytes() == ref_journal
+
+    def test_resume_reruns_cells_whose_record_is_not_in_the_grid(
+        self, tmp_path
+    ):
+        # A record written before a change that moved its cell's config
+        # (so its fingerprint) settles nothing: the cell runs again and
+        # the summary counts only the grid's records.
+        spec, ref_dir, ref_summary = self.reference(tmp_path)
+        lines = (ref_dir / JOURNAL_NAME).read_bytes().splitlines()
+        stale = decode_record(lines[2].decode())
+        stale["fp"] = "0" * 64
+        old_dir = tmp_path / "old"
+        old_dir.mkdir()
+        (old_dir / JOURNAL_NAME).write_bytes(b"\n".join(
+            lines[:2] + [encode_record(stale).encode()] + lines[3:]
+        ) + b"\n")
+        report = run_campaign(spec, old_dir, resume=True, workers=1)
+        assert report.exit_code == EXIT_OK
+        assert report.resumed == 3 and report.executed == 1
+        assert (report.cells, report.settled) == (4, 4)
+        assert (old_dir / SUMMARY_NAME).read_bytes() == ref_summary
+        assert [r["fp"] for r in journal_runs(old_dir)].count("0" * 64) == 1
 
     def test_resume_refuses_foreign_spec(self, tmp_path):
         spec, ref_dir, _ = self.reference(tmp_path)

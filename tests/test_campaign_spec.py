@@ -229,6 +229,16 @@ class TestExpansion:
         cells = expand_cells(spec)
         assert cells[0].config.topology != cells[1].config.topology
 
+    def test_random_network_is_the_same_at_every_pm(self):
+        spec = parse_campaign("scenario=random:10/2; pm=0|60; seeds=7")
+        honest, cheating = (cell.config.topology for cell in expand_cells(spec))
+        assert honest.positions == cheating.positions
+        assert [(f.src, f.dst) for f in honest.flows] == \
+            [(f.src, f.dst) for f in cheating.flows]
+        # PM 0 designates the same two cheaters but keeps them honest.
+        assert honest.misbehaving_senders == []
+        assert len(cheating.misbehaving_senders) == 2
+
 
 # ----------------------------------------------------------------------
 # Sharding

@@ -86,13 +86,13 @@ class TestCli:
         assert "unknown" in capsys.readouterr().err
 
     def test_figures_unknown_id_lists_available(self, capsys):
-        from repro.experiments import ALL_FIGURES
+        from repro.experiments import FIGURES
 
         code = main(["figures", "figZZ", "fig4"])
         assert code == 2
         err = capsys.readouterr().err
         assert "figZZ" in err
-        for fid in ALL_FIGURES:
+        for fid in FIGURES:
             assert fid in err
         assert "detectors" in err
 

@@ -26,7 +26,7 @@ from repro.experiments.executor import (
     FailedRun,
     RunFailedError,
 )
-from repro.experiments.figures import FigureResult, _add_stat_point
+from repro.experiments.figures import FigureResult
 from repro.experiments.report import render_table, to_json
 from repro.experiments.scenarios import RunResult, ScenarioConfig, run_scenario
 from repro.experiments.settings import (
@@ -395,8 +395,7 @@ class TestFigureDegradation:
     def test_add_stat_point_drops_failures(self):
         fig = self.fig()
         results = [run_scenario(config()), _fake_failure()]
-        _add_stat_point(fig, "s", 1.0, results,
-                        lambda r: r.events_processed)
+        fig.add_stat_point("s", 1.0, [results[0].events_processed, None])
         assert fig.has_failures
         assert not fig.is_failed("s", 1.0)  # one seed survived: degraded
         [(x, y)] = fig.series["s"]
@@ -404,7 +403,7 @@ class TestFigureDegradation:
 
     def test_add_stat_point_all_failed_omits_point(self):
         fig = self.fig()
-        _add_stat_point(fig, "s", 2.0, [_fake_failure()], lambda r: 0.0)
+        fig.add_stat_point("s", 2.0, [None])
         assert fig.is_failed("s", 2.0)
         assert "s" not in fig.series
 
