@@ -49,7 +49,11 @@ import math
 import os
 import pathlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import (
+    Dict, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple,
+)
 
 from repro.experiments.campaign.journal import (
     JOURNAL_SCHEMA,
@@ -168,10 +172,26 @@ def _read_shard(path: pathlib.Path):
     return header, result.records, result.truncated
 
 
+#: Campaign grids whose expansion and fingerprints a process keeps (LRU,
+#: by spec text): merging shard journals and loading the merged one
+#: read the same grid, and a long-lived process reports one campaign
+#: many times.
+GRID_INDEX_SIZE = 4
+
+
+@lru_cache(maxsize=GRID_INDEX_SIZE)
 def _grid_index(
     spec_text: str,
-) -> Tuple[CampaignSpec, List[Tuple[str, CampaignCell]], int, Dict[str, int]]:
-    """Re-expand the campaign grid: (spec, ordered (fp, cell), dups, fp->pos)."""
+) -> Tuple[CampaignSpec, Tuple[Tuple[str, CampaignCell], ...], int,
+           Mapping[str, int]]:
+    """Re-expand the campaign grid: (spec, ordered (fp, cell), dups, fp->pos).
+
+    Computed once per spec text while it stays in the table; callers
+    share the result, so it is read-only.  The kept cells carry no
+    config (``config`` is ``None``): merging and tabulating read only a
+    cell's identity and grid coordinates, and the configs would be
+    most of the table's memory.
+    """
     try:
         spec = parse_campaign(spec_text)
     except CampaignSpecError as exc:
@@ -181,7 +201,12 @@ def _grid_index(
         ) from None
     ordered, duplicates = _fingerprint_cells(expand_cells(spec))
     order = {fp: position for position, (fp, _) in enumerate(ordered)}
-    return spec, ordered, duplicates, order
+    return (
+        spec,
+        tuple((fp, replace(cell, config=None)) for fp, cell in ordered),
+        duplicates,
+        MappingProxyType(order),
+    )
 
 
 def merge_journals(

@@ -147,10 +147,15 @@ class FigureResult:
         return sorted(x for x, _ in self.series[series_name])
 
 
-def _scale_meta(settings: EvalSettings) -> Dict[str, object]:
+def _scale_meta(
+    settings: EvalSettings, seeds: Optional[int] = None
+) -> Dict[str, object]:
+    """The scale a figure ran at; ``seeds`` counts the runs averaged
+    per point (the settings' seeds unless the figure averages others,
+    like fig9's placements)."""
     return {
         "duration_s": settings.duration_s,
-        "seeds": len(settings.seeds),
+        "seeds": len(settings.seeds) if seeds is None else seeds,
     }
 
 
@@ -192,7 +197,7 @@ def generate_figures(
     unknown = [fid for fid in wanted if fid not in FIGURES]
     if unknown:
         raise KeyError(f"unknown figure ids {unknown}; known: {list(FIGURES)}")
-    batch = TaskBatch()
+    batch = _FigureBatch()
     gens = [(fid, FIGURES[fid](settings, batch)) for fid in wanted]
     for _, gen in gens:
         next(gen)
@@ -221,13 +226,36 @@ def _generate_one(
 # ----------------------------------------------------------------------
 # Campaign-grid figures: 4, 5, 6, 7, 9a and the detectors' operating point
 # ----------------------------------------------------------------------
-def _grid_plan(figure_id: str, settings: EvalSettings, batch: TaskBatch):
+@dataclass
+class _Grid:
+    """One campaign grid of a :func:`generate_figures` call: its cells,
+    their batch handle, and the dataset reduced from them."""
+
+    cells: list
+    handle: object
+    dataset: object = None
+
+
+class _FigureBatch(TaskBatch):
+    """The task batch of one :func:`generate_figures` call, plus the
+    campaign grids its figures plan, by spec.  fig6 and fig7 read the
+    same grid, so its cells join the batch once and their runs become
+    one dataset that both figures are built from."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.grids: Dict[object, _Grid] = {}
+
+
+def _grid_plan(figure_id: str, settings: EvalSettings, batch: _FigureBatch):
     """Plan a seed-averaged figure as a journal-less campaign.
 
     The cells go into the batch grouped by scenario variant, then
     protocol (each group in expansion order, seeds innermost): the
     order these sweeps have always been submitted in, which the
-    sim-grid benchmark's outcome digest pins.
+    sim-grid benchmark's outcome digest pins.  The figure's ``meta``
+    is the dataset's: the grid's duration and its seeds per point
+    (fig9a's placements).
     """
     from repro.experiments.campaign.analysis import (
         dataset_from_runs,
@@ -237,18 +265,20 @@ def _grid_plan(figure_id: str, settings: EvalSettings, batch: TaskBatch):
     from repro.experiments.campaign.spec import expand_cells
 
     spec = figure_spec(figure_id, settings)
-    cells = sorted(expand_cells(spec), key=lambda cell: (
-        cell.axis.interferers, spec.protocols.index(cell.protocol)
-    ))
-    handle = batch.add([cell.config for cell in cells])
+    grid = batch.grids.get(spec)
+    if grid is None:
+        cells = sorted(expand_cells(spec), key=lambda cell: (
+            cell.axis.interferers, spec.protocols.index(cell.protocol)
+        ))
+        grid = batch.grids[spec] = _Grid(
+            cells, batch.add([cell.config for cell in cells])
+        )
     yield
-    dataset = dataset_from_runs(spec, cells, handle.results)
-    fig = figure_from_dataset(dataset, figure_id)
-    # The settings' scale, like every in-memory figure: fig9a's "seeds"
-    # counts the settings' seeds, not its placements.
-    fig.meta.update(_scale_meta(settings))
+    if grid.dataset is None:
+        grid.dataset = dataset_from_runs(spec, grid.cells, grid.handle.results)
+    fig = figure_from_dataset(grid.dataset, figure_id)
     if figure_id == "detectors":
-        _add_latency_series(fig, cells, handle.results)
+        _add_latency_series(fig, grid.cells, grid.handle.results)
     return fig
 
 
@@ -423,7 +453,7 @@ def _figure9b_plan(settings: EvalSettings, batch: TaskBatch):
         title="Throughput, random topology (40 nodes, 1500m x 700m)",
         x_label="Percentage of Misbehavior (PM)",
         y_label="throughput (Kbps)",
-        meta=_scale_meta(settings),
+        meta=_scale_meta(settings, seeds=settings.random_topologies),
     )
     # Which nodes a topology designates as misbehaving is a function
     # of the placement RNG only (PM just scales their cheating), so an

@@ -46,7 +46,9 @@ class BackoffTimer:
         Stream for marginal-slot sampling.
     marginal_probability:
         Callable returning the current combined per-slot busy
-        probability from marginally-sensed transmissions.
+        probability from marginally-sensed transmissions.  Read once
+        per counting segment; the owner must call
+        :meth:`marginal_changed` whenever the value changes.
     ifs_provider:
         Callable returning the interframe space to observe before
         (re)starting the countdown — DIFS normally, EIFS after a
@@ -77,6 +79,9 @@ class BackoffTimer:
         self._handle: Optional[EventHandle] = None
         self._segment_start = 0
         self._segment_sampled = False
+        #: Busy probability of the current sampled segment: constant
+        #: until :meth:`marginal_changed` starts a new segment.
+        self._segment_p = 0.0
         #: Lifetime slot count actually waited (for tests/metrics).
         self.slots_counted = 0
 
@@ -118,19 +123,24 @@ class BackoffTimer:
         """The combined marginal busy probability changed; resegment."""
         if not self.active or self._state != "counting":
             return
-        self._account_clean_progress()
+        if not self._segment_sampled:
+            self._account_clean_progress()
         if self.remaining == 0:
             # The countdown completes at this very timestamp; the
             # pending completion event fires later in FIFO order.
             return
-        self._cancel_handle()
+        # Inlined ``_cancel_handle`` (hot: every marginal edge of a
+        # counting timer); ``_begin_segment`` sets the new handle.
+        if self._handle is not None:
+            self._handle.cancel()
         self._begin_segment()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _enter_wait_ifs(self) -> None:
-        self._cancel_handle()
+        if self._handle is not None:
+            self._handle.cancel()
         self._state = "wait_ifs"
         self._handle = self.sim.schedule(self.ifs_provider(), self._ifs_elapsed)
 
@@ -155,6 +165,7 @@ class BackoffTimer:
             )
         else:
             self._segment_sampled = True
+            self._segment_p = p_busy
             self._schedule_sampled_decrement(p_busy)
 
     def _schedule_sampled_decrement(self, p_busy: float) -> None:
@@ -180,11 +191,10 @@ class BackoffTimer:
         if self.remaining == 0:
             self._expire()
             return
-        p_busy = self.marginal_probability()
-        if p_busy <= 0.0:
-            self._begin_segment()
-        else:
-            self._schedule_sampled_decrement(p_busy)
+        # The owner reports every change of the probability through
+        # :meth:`marginal_changed`, which starts a new segment, so the
+        # segment's value still holds.
+        self._schedule_sampled_decrement(self._segment_p)
 
     def _clean_complete(self) -> None:
         self.slots_counted += self.remaining
@@ -201,19 +211,22 @@ class BackoffTimer:
         self.slots_counted += credited
 
     def _freeze(self) -> None:
+        handle = self._handle
         if self._state == "wait_ifs":
             # A zero-slot countdown whose IFS completes on this very
             # timestamp is already committed (same rule as the counting
             # branch below): let the pending completion fire and expire.
             if (
                 self.remaining == 0
-                and self._handle is not None
-                and self._handle.pending
-                and self._handle.time == self.sim.now
+                and handle is not None
+                and handle.time == self.sim.now
+                and handle.pending
             ):
                 self._state = "frozen"
                 return
-            self._cancel_handle()
+            if handle is not None:
+                handle.cancel()
+                self._handle = None
             self._state = "frozen"
             return
         if self._state != "counting":
@@ -225,15 +238,17 @@ class BackoffTimer:
         # let the event fire (this is what makes same-boundary
         # collisions possible).
         if (
-            self._handle is not None
-            and self._handle.pending
-            and self._handle.time == self.sim.now
+            handle is not None
+            and handle.time == self.sim.now
+            and handle.pending
             and self._would_expire_now()
         ):
             self._state = "frozen"
             return
         self._account_clean_progress()
-        self._cancel_handle()
+        if handle is not None:
+            handle.cancel()
+            self._handle = None
         self._state = "frozen"
 
     def _would_expire_now(self) -> bool:

@@ -27,7 +27,7 @@ from typing import Dict, Optional
 from repro.core.sender_policy import ConformingPolicy
 from repro.mac.backoff_timer import BackoffTimer
 from repro.mac.frames import Frame, FrameKind, ack_size, cts_size, data_size, rts_size
-from repro.mac.timing import ExchangeTiming
+from repro.mac.timing import ExchangeTiming, exchange_timing
 from repro.phy.constants import PhyTimings, SHORT_RETRY_LIMIT
 from repro.phy.medium import Medium
 from repro.phy.sensing import IdleSlotCounter
@@ -120,15 +120,18 @@ class DcfMac:
         #: Basic-access duplicate detection: sender -> last ACKed seq.
         self._last_acked_seq: Dict[int, int] = {}
         self.rng = rng_registry.stream(f"mac/{node_id}")
-        #: Cached combined marginal busy probability, refreshed on
-        #: every marginal edge; the timer reads this instead of
-        #: re-aggregating the medium's marginal set per segment.
+        #: Cached combined marginal busy probability.  A MAC with an
+        #: idle-slot counter refreshes it on every marginal edge (the
+        #: counter needs it there); otherwise an edge only marks it
+        #: stale and :meth:`_marginal_probability` recomputes it when
+        #: the timer next reads it.
         self._p_busy = 0.0
+        self._p_stale = False
         self.timer = BackoffTimer(
             sim,
             self.timings.slot_us,
             rng_registry.stream(f"sense/{node_id}"),
-            lambda: self._p_busy,
+            self._marginal_probability,
             self._current_ifs,
             self._on_backoff_expired,
         )
@@ -139,7 +142,7 @@ class DcfMac:
                 difs_us=self.timings.difs_us,
             ) if self.counts_idle_slots else None
         )
-        self.exchange_timing = ExchangeTiming(
+        self.exchange_timing = exchange_timing(
             self.timings, payload_bytes, self.modified_protocol
         )
         self.source = None  # attached via attach_source()
@@ -291,39 +294,54 @@ class DcfMac:
             timer.set_blocked(blocked)
 
     def on_marginal_change(self) -> None:
-        state = self._mstate
-        if state is None:
-            state = self._mstate = self.medium._states[self.node_id]
-        product = 1.0
-        for q in state.marginal.values():
-            product *= 1.0 - q
-        p = 1.0 - product
-        self._p_busy = p
+        self._p_stale = True
+        ic = self.idle_counter
+        if ic is None:
+            # Nothing reads the probability at this edge unless the
+            # timer is counting, and its read recomputes it.
+            timer = self.timer
+            if timer._state == "counting" and timer.active:
+                timer.marginal_changed()
+            return
+        p = self._marginal_probability()
         # Inlined ``set_marginal_probability`` + ``advance``: a product
         # of values in [0, 1] stays in [0, 1] so the range check cannot
         # fire, and ``now`` comes off the (monotonic) kernel clock so
         # the backwards-clock guard cannot fire either.
-        ic = self.idle_counter
-        if ic is not None:
-            now = self.sim.now
-            cursor = ic._cursor
-            if not ic._strong:
-                if now > cursor:
-                    whole = (now - cursor) // ic.slot_us
-                    if whole > 0:
-                        op = ic._marginal_p
-                        if op <= 0.0:
-                            ic._slots += whole
-                        elif op < 1.0:
-                            ic._slots += whole - binomial(ic.rng, whole, op)
-                        ic._cursor = cursor + whole * ic.slot_us
-            elif now > cursor:
-                ic._cursor = now
-            ic._last_now = now
-            ic._marginal_p = p
+        now = self.sim.now
+        cursor = ic._cursor
+        if not ic._strong:
+            if now > cursor:
+                whole = (now - cursor) // ic.slot_us
+                if whole > 0:
+                    op = ic._marginal_p
+                    if op <= 0.0:
+                        ic._slots += whole
+                    elif op < 1.0:
+                        ic._slots += whole - binomial(ic.rng, whole, op)
+                    ic._cursor = cursor + whole * ic.slot_us
+        elif now > cursor:
+            ic._cursor = now
+        ic._last_now = now
+        ic._marginal_p = p
         timer = self.timer
-        if timer.active and timer._state == "counting":
+        if timer._state == "counting" and timer.active:
             timer.marginal_changed()
+
+    def _marginal_probability(self) -> float:
+        """The combined marginal busy probability, ``1 - prod(1 - p)``
+        over the medium's marginal set for this node (in the set's
+        order), recomputed only after a marginal edge."""
+        if self._p_stale:
+            state = self._mstate
+            if state is None:
+                state = self._mstate = self.medium._states[self.node_id]
+            product = 1.0
+            for q in state.marginal.values():
+                product *= 1.0 - q
+            self._p_busy = 1.0 - product
+            self._p_stale = False
+        return self._p_busy
 
     def on_frame_corrupted(self) -> None:
         if self._crashed:
@@ -350,12 +368,17 @@ class DcfMac:
     # Carrier sense aggregation
     # ------------------------------------------------------------------
     def _update_blocked(self) -> None:
+        state = self._mstate
+        if state is None:
+            state = self._mstate = self.medium._states[self.node_id]
         blocked = (
-            self.medium.strong_busy(self.node_id)
+            state.strong_count > 0
             or self.sim.now < self._nav_until
             or self._responding
         )
-        self.timer.set_blocked(blocked)
+        timer = self.timer
+        if blocked != timer.blocked:
+            timer.set_blocked(blocked)
 
     def _current_ifs(self) -> int:
         if self._pending_eifs:
@@ -385,7 +408,10 @@ class DcfMac:
         if self._nav_handle is not None:
             self._nav_handle.cancel()
         self._nav_handle = self.sim.schedule_at(until, self._update_blocked)
-        self._update_blocked()
+        # ``now < until``: the NAV alone blocks the timer.
+        timer = self.timer
+        if not timer.blocked:
+            timer.set_blocked(True)
 
     # ------------------------------------------------------------------
     # Sender half
@@ -435,7 +461,8 @@ class DcfMac:
         ex = self._current
         if ex is None or ex.payload_bytes == self.payload_bytes:
             return self.exchange_timing
-        return ExchangeTiming(self.timings, ex.payload_bytes, self.modified_protocol)
+        return exchange_timing(self.timings, ex.payload_bytes,
+                               self.modified_protocol)
 
     def _transmit_rts(self) -> None:
         ex = self._current

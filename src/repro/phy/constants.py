@@ -14,6 +14,7 @@ modified protocol pays its real header cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 #: Duration of one backoff slot (microseconds).
@@ -73,7 +74,10 @@ class PhyTimings:
     """Bundle of PHY timings, overridable for what-if experiments.
 
     The defaults reproduce the paper's configuration; tests also use
-    shrunken values to keep unit scenarios tiny.
+    shrunken values to keep unit scenarios tiny.  Derived intervals are
+    computed once per instance (the MAC reads them on every channel
+    edge); ``dataclasses.replace`` builds a fresh instance, so a
+    modified bundle never sees another's cached values.
     """
 
     slot_us: int = SLOT_TIME_US
@@ -83,12 +87,12 @@ class PhyTimings:
     cw_min: int = CW_MIN
     cw_max: int = CW_MAX
 
-    @property
+    @cached_property
     def difs_us(self) -> int:
         """DIFS = SIFS + 2 * slot, per the standard."""
         return self.sifs_us + 2 * self.slot_us
 
-    @property
+    @cached_property
     def eifs_us(self) -> int:
         """EIFS = SIFS + ACK airtime + DIFS (used after corrupt frames)."""
         ack_us = self.frame_airtime_us(ACK_SIZE_BYTES)

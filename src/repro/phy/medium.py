@@ -74,7 +74,7 @@ class Geometry:
         #: node_id -> position, in registration order.
         self.positions: Dict[int, Tuple[float, float]] = dict(nodes)
         self._links: Dict[Tuple[int, int], LinkProbabilities] = {}
-        self._captures: Dict[Tuple[int, int, int], float] = {}
+        self._captures: Dict[Tuple[int, int], "_CaptureRow"] = {}
         self._partitions: Dict[int, tuple] = {}
 
     def link(self, src: int, dst: int) -> LinkProbabilities:
@@ -97,10 +97,11 @@ class Geometry:
         are the strongly and marginally sensing nodes (the source
         itself is "strong" -- half-duplex deafness), ``notify_ps`` the
         matching per-slot sense probabilities (``None`` for strong),
-        and ``deliver`` is ``((node_id, link), ...)`` over the other
-        nodes with a non-negligible receive or sense probability.  All
-        three keep registration order, so callbacks fire exactly as
-        they would from a per-listener classification sweep.
+        and ``deliver`` is ``((node_id, receive, sense), ...)`` over
+        the other nodes with a non-negligible receive or sense
+        probability.  All three keep registration order, so callbacks
+        fire exactly as they would from a per-listener classification
+        sweep.
         """
         partition = self._partitions.get(src)
         if partition is None:
@@ -122,7 +123,7 @@ class Geometry:
                     notify_ids.append(node_id)
                     notify_ps.append(link.sense)
                 if link.receive > eps or link.sense > eps:
-                    deliver.append((node_id, link))
+                    deliver.append((node_id, link.receive, link.sense))
             partition = (tuple(notify_ids), tuple(notify_ps), tuple(deliver))
             self._partitions[src] = partition
         return partition
@@ -134,24 +135,53 @@ class Geometry:
         difference is Gaussian with std ``sigma*sqrt(2)`` around the
         difference of mean path gains.
         """
-        key = (src, interferer, at)
-        cached = self._captures.get(key)
-        if cached is not None:
-            return cached
+        return self.capture_row(src, interferer)[at]
+
+    def capture_row(self, src: int, interferer: int) -> "_CaptureRow":
+        """:meth:`capture_probability` of one (src, interferer) pair as
+        a mapping from listener node id, filled on first lookup."""
+        key = (src, interferer)
+        row = self._captures.get(key)
+        if row is None:
+            row = self._captures[key] = _CaptureRow(
+                self.model, self.positions, src, interferer
+            )
+        return row
+
+
+class _CaptureRow(dict):
+    """Capture probabilities of one (src, interferer) pair by listener.
+
+    Holds the geometry's model and positions, not the geometry itself,
+    so an evicted geometry is freed by reference counting.
+    """
+
+    __slots__ = ("model", "positions", "src", "interferer")
+
+    def __init__(self, model: ShadowingModel, positions: Dict, src: int,
+                 interferer: int):
+        super().__init__()
+        self.model = model
+        self.positions = positions
+        self.src = src
+        self.interferer = interferer
+
+    def __missing__(self, at: int) -> float:
         positions = self.positions
-        d_src = max(distance(positions[src], positions[at]), 1e-6)
-        d_int = max(distance(positions[interferer], positions[at]), 1e-6)
+        model = self.model
+        d_src = max(distance(positions[self.src], positions[at]), 1e-6)
+        d_int = max(distance(positions[self.interferer], positions[at]), 1e-6)
         mean_margin = (
-            self.model.mean_path_gain_db(d_src)
-            - self.model.mean_path_gain_db(d_int)
+            model.mean_path_gain_db(d_src)
+            - model.mean_path_gain_db(d_int)
             - CAPTURE_THRESHOLD_DB
         )
-        sigma = self.model.sigma_db * math.sqrt(2.0)
+        sigma = model.sigma_db * math.sqrt(2.0)
         if sigma == 0.0:
             probability = 1.0 if mean_margin >= 0.0 else 0.0
         else:
             probability = normal_cdf(mean_margin / sigma)
-        self._captures[key] = probability
+        self[at] = probability
         return probability
 
 
@@ -324,7 +354,7 @@ class Medium:
                 [states[node_id] for node_id in notify_ids],
                 notify_ps,
                 deliver,
-                [states[node_id] for node_id, _ in deliver],
+                [states[node_id] for node_id, _, _ in deliver],
             )
             self._src_views[src] = view
         return view
@@ -492,48 +522,64 @@ class Medium:
             # flight: classification stays frozen, but delivery uses
             # the links of the current positions.
             view = self._source_view(tx.src)
+        src = tx.src
+        frame = tx.frame
+        overlaps = tx.overlaps
         # Half-duplex: a node transmitting during any overlap (or
         # being the source of an overlapping frame) hears nothing.
-        overlap_srcs = {o.src for o in tx.overlaps} if tx.overlaps else ()
+        overlap_srcs = {o.src for o in overlaps} if overlaps else ()
+        # The frame must capture over each overlapping frame in turn
+        # (one draw each, so one interferer's two frames are two
+        # draws); the source's own earlier frame interferes with none.
+        # (``view[0]`` is the bound geometry by now.)
+        captures = [
+            view[0].capture_row(src, o.src) for o in overlaps if o.src != src
+        ]
+        jammed = tx.jammed
         fault_hooks = self.fault_hooks
+        trace = self.trace
         rng_random = self.rng.random
         one_minus_eps = 1.0 - LinkProbabilities.EPS
-        clean = not tx.jammed and not tx.overlaps
-        for (node_id, link), state in zip(view[3], view[4]):
+        decoded_count = corrupted_count = 0
+        for (node_id, receive, sense), state in zip(view[3], view[4]):
             if node_id in overlap_srcs:
                 continue
-            if clean:
-                # Inlined ``_attempt_decode`` for the dominant case
-                # (no jam, no overlap): at most one receive draw.
-                rcv = link.receive
-                decoded = rcv >= one_minus_eps or rng_random() < rcv
+            # Decode: a jammed frame never decodes (and draws nothing);
+            # otherwise at most one receive draw, then one capture draw
+            # per interferer until one fails.
+            if jammed:
+                decoded = False
             else:
-                decoded = self._attempt_decode(tx, node_id, link)
+                decoded = receive >= one_minus_eps or rng_random() < receive
+                if decoded and captures:
+                    for capture in captures:
+                        if rng_random() >= capture[node_id]:
+                            decoded = False
+                            break
             if decoded and fault_hooks is not None:
-                fate = self.fault_hooks.intercept(tx, node_id)
+                fate = fault_hooks.intercept(tx, node_id)
                 if fate == "drop":
                     # Silent loss: the listener never learns the frame
                     # existed (no EIFS, no corruption counter).
                     self.frames_fault_dropped += 1
-                    if self.trace is not None:
-                        self.trace.record(
-                            self.sim.now, "fault_drop", node_id, src=tx.src
+                    if trace is not None:
+                        trace.record(
+                            self.sim.now, "fault_drop", node_id, src=src
                         )
                     continue
                 if fate == "corrupt":
                     decoded = False
             if decoded:
-                self.frames_decoded += 1
-                if self.trace is not None:
+                decoded_count += 1
+                if trace is not None:
                     # Decodes are the hottest traced event, so the
                     # payload carries only what reception semantics
                     # need; header provenance (seq/attempt/assigned
                     # backoff) lives on the matching ``tx_start``.
-                    frame = tx.frame
                     try:  # direct access: frames are Frame in real runs
-                        self.trace.record(
+                        trace.record(
                             self.sim.now, "decode", node_id,
-                            src=tx.src,
+                            src=src,
                             # What the frame *claims* as its source —
                             # equals ``src`` except under address
                             # spoofing, and is what the listener's MAC
@@ -544,45 +590,23 @@ class Medium:
                             duration_us=frame.duration_us,
                         )
                     except AttributeError:  # duck-typed test stand-ins
-                        self.trace.record(
+                        trace.record(
                             self.sim.now, "decode", node_id,
-                            src=tx.src,
-                            frame_src=getattr(frame, "src", tx.src),
+                            src=src,
+                            frame_src=getattr(frame, "src", src),
                             frame_kind=getattr(getattr(frame, "kind", None),
                                                "value", "?"),
                             dst=getattr(frame, "dst", None),
                             duration_us=getattr(frame, "duration_us", 0),
                         )
-                state.listener.on_frame(tx.frame)
-            else:
-                sensed = (
-                    link.sense > 1.0 - LinkProbabilities.EPS
-                    or self.rng.random() < link.sense
-                )
-                if sensed:
-                    self.frames_corrupted += 1
-                    if self.trace is not None:
-                        self.trace.record(
-                            self.sim.now, "corrupt", node_id, src=tx.src
-                        )
-                    state.listener.on_frame_corrupted()
-
-    def _attempt_decode(self, tx: Transmission, node_id: int,
-                        link: LinkProbabilities) -> bool:
-        if tx.jammed:
-            return False
-        if link.receive < 1.0 - LinkProbabilities.EPS:
-            if self.rng.random() >= link.receive:
-                return False
-        capture_probability = self._bound_geometry().capture_probability
-        for interferer in tx.overlaps:
-            if interferer.src == tx.src:
-                continue
-            if self.rng.random() >= capture_probability(
-                tx.src, interferer.src, node_id
-            ):
-                return False
-        return True
+                state.listener.on_frame(frame)
+            elif sense > one_minus_eps or rng_random() < sense:
+                corrupted_count += 1
+                if trace is not None:
+                    trace.record(self.sim.now, "corrupt", node_id, src=src)
+                state.listener.on_frame_corrupted()
+        self.frames_decoded += decoded_count
+        self.frames_corrupted += corrupted_count
 
     @property
     def active_transmissions(self) -> int:

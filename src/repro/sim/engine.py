@@ -153,9 +153,13 @@ class EventHandle:
             return
         self.cancelled = True
         if not self.fired:
+            # Inlined ``_compact_if_due`` (hot: the MAC's timers cancel
+            # most of what they schedule).
             sim = self._sim
-            sim._tombstones += 1
-            sim._compact_if_due()
+            tombstones = sim._tombstones = sim._tombstones + 1
+            if (tombstones > COMPACT_MIN_TOMBSTONES
+                    and 2 * tombstones > len(sim._queue)):
+                sim._compact()
 
     @property
     def pending(self) -> bool:
