@@ -98,6 +98,6 @@ class DiagnosisWindow:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"DiagnosisWindow(sum={self._sum:.1f}, thresh={self.thresh}, "
+            f"{type(self).__name__}(sum={self._sum:.1f}, thresh={self.thresh}, "
             f"n={len(self._differences)}/{self.window})"
         )

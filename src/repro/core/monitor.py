@@ -115,19 +115,16 @@ class SenderMonitor:
     # Driver events
     # ------------------------------------------------------------------
     @property
-    def diagnosis(self):
-        """The underlying diagnosis state (compatibility accessor).
+    def diagnosis(self) -> Detector:
+        """The sender's detector (compatibility accessor).
 
-        For the default window detector this is the wrapped
-        :class:`~repro.core.diagnosis.DiagnosisWindow`, preserving the
-        pre-registry attribute surface (``observations``,
-        ``flagged_observations``, ``windowed_sum``, ``thresh``); for
-        any other detector it is the detector itself.
+        The default window detector is itself a
+        :class:`~repro.core.diagnosis.DiagnosisWindow`, so the
+        pre-registry attribute surface (``window``, ``observations``,
+        ``flagged_observations``, ``windowed_sum``, ``thresh``) reads
+        straight off it; any other detector exposes its own.
         """
-        detector = self.detector
-        if isinstance(detector, WindowDetector):
-            return detector.window
-        return detector
+        return self.detector
 
     def on_rts(
         self,

@@ -7,8 +7,9 @@ online state fed one observation per received packet), a string-keyed
 registry with compact config parsing, and three built-in families:
 
 ``window``
-    The paper's scheme, adapting :class:`repro.core.diagnosis.
-    DiagnosisWindow` bit-identically (the default everywhere).
+    The paper's scheme: a :class:`repro.core.diagnosis.DiagnosisWindow`
+    that speaks the detector protocol, bit-identically (the default
+    everywhere).
 ``cusum``
     One-sided CUSUM sequential test on the normalized backoff deficit,
     after Cao et al.

@@ -32,7 +32,7 @@ class ObservationDecodeError(ValueError):
     """An observation record does not match the versioned schema."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Observation:
     """One judged packet reception, as seen by the receiver's monitor.
 
@@ -53,6 +53,21 @@ class Observation:
     b_act: float
     retries: int = 1
     time_us: int = 0
+
+    def __init__(
+        self, b_exp: float, b_act: float, retries: int = 1, time_us: int = 0,
+    ):
+        # The dataclass-generated frozen __init__ assigns each field
+        # through object.__setattr__, about twice the cost of filling
+        # the instance dict directly; the service builds one
+        # Observation per wire line.  Equality, hashing, repr,
+        # dataclasses.replace and frozenness still come from the
+        # dataclass machinery.
+        fields = self.__dict__
+        fields["b_exp"] = b_exp
+        fields["b_act"] = b_act
+        fields["retries"] = retries
+        fields["time_us"] = time_us
 
     @property
     def difference(self) -> float:

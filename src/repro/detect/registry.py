@@ -15,17 +15,20 @@ run's :class:`~repro.core.params.ProtocolConfig` (which supplies the
 defaults a spec does not override — ``W``/``THRESH`` for the window
 detector, ``cw_min`` for the normalization of the other two);
 :func:`detector_factory` returns a zero-argument callable the receiver
-MAC invokes once per monitored sender.
+MAC and the detection service invoke once per monitored sender.
 
 Third-party detectors plug in through :func:`register`: a builder is
-``(config, **params) -> Detector`` plus the parameter names it
-accepts, and it immediately becomes reachable from every spec-string
-surface (CLI, figure sweeps, scenario configs).
+``(config, **params) -> constructor``, where the constructor is a
+zero-argument callable with the family's arguments already resolved
+(typically a :func:`functools.partial` of the detector class), plus
+the parameter names it accepts.  It immediately becomes reachable from
+every spec-string surface (CLI, figure sweeps, scenario configs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Tuple
 
 from repro.core.params import ProtocolConfig
@@ -46,7 +49,7 @@ class DetectorSpecError(ValueError):
 class _Entry:
     """One registry entry: builder plus its accepted parameter names."""
 
-    builder: Callable[..., Detector]
+    builder: Callable[..., Callable[[], Detector]]
     params: Tuple[str, ...]
     summary: str
 
@@ -56,16 +59,18 @@ _REGISTRY: Dict[str, _Entry] = {}
 
 def register(
     name: str,
-    builder: Callable[..., Detector],
+    builder: Callable[..., Callable[[], Detector]],
     params: Tuple[str, ...],
     summary: str = "",
 ) -> None:
     """Add a detector family under ``name``.
 
-    ``builder`` is called as ``builder(config, **parsed_params)`` and
-    must return a fresh detector instance; ``params`` lists the
-    parameter names specs may set (anything else is rejected with an
-    error that cites this list).
+    ``builder`` is called once per :func:`detector_factory`, as
+    ``builder(config, **parsed_params)``, and must return a
+    zero-argument constructor that builds a fresh detector instance
+    per call (e.g. ``functools.partial(MyDetector, gain=...)``);
+    ``params`` lists the parameter names specs may set (anything else
+    is rejected with an error that cites this list).
     """
     if not name or any(c in name for c in ":,="):
         raise ValueError(f"invalid detector name {name!r}")
@@ -148,36 +153,51 @@ def detector_factory(
 ) -> Callable[[], Detector]:
     """A zero-argument factory for per-sender detector instances.
 
-    The spec is parsed once, eagerly, so a bad string fails at
-    configuration time rather than on first packet reception; each
-    build only calls the registered builder with the parsed params.
+    The spec is parsed and its arguments are resolved against
+    ``config`` once, eagerly, so a bad string fails at configuration
+    time rather than on first packet reception; each build is then one
+    call to the family's constructor.  Values the resolution rejects
+    (``window:W=nan``) raise :class:`DetectorSpecError` here; values
+    only the constructor rejects (``window:W=0``) raise it on build.
     """
     name, params = parse_spec(spec)
-    builder = _REGISTRY[name].builder
+    try:
+        build = _REGISTRY[name].builder(config, **params)
+    except (ValueError, OverflowError) as exc:
+        raise _invalid_value(spec, exc) from None
 
     def factory() -> Detector:
         try:
-            return builder(config, **params)
+            return build()
         except ValueError as exc:
-            raise DetectorSpecError(
-                f"detector spec {spec!r} has an invalid value: {exc}"
-            ) from None
+            raise _invalid_value(spec, exc) from None
 
     factory.spec = spec  # type: ignore[attr-defined]
     return factory
 
 
+def _invalid_value(spec: str, exc: Exception) -> DetectorSpecError:
+    return DetectorSpecError(
+        f"detector spec {spec!r} has an invalid value: {exc}"
+    )
+
+
 # ----------------------------------------------------------------------
 # Built-in detector families
 # ----------------------------------------------------------------------
-def _build_window(config: ProtocolConfig, **params: float) -> WindowDetector:
+def _build_window(
+    config: ProtocolConfig, **params: float
+) -> Callable[[], WindowDetector]:
     window = int(params.get("W", config.window))
     thresh = params.get("thresh", config.thresh)
-    return WindowDetector(window=window, thresh=thresh)
+    return partial(WindowDetector, window, thresh)
 
 
-def _build_cusum(config: ProtocolConfig, **params: float) -> CusumDetector:
-    return CusumDetector(
+def _build_cusum(
+    config: ProtocolConfig, **params: float
+) -> Callable[[], CusumDetector]:
+    return partial(
+        CusumDetector,
         h=params.get("h", 2.0),
         k=params.get("k", 0.25),
         norm=params.get("norm", float(config.cw_min)),
@@ -186,8 +206,9 @@ def _build_cusum(config: ProtocolConfig, **params: float) -> CusumDetector:
 
 def _build_estimator(
     config: ProtocolConfig, **params: float
-) -> CwminEstimatorDetector:
-    return CwminEstimatorDetector(
+) -> Callable[[], CwminEstimatorDetector]:
+    return partial(
+        CwminEstimatorDetector,
         fraction=params.get("fraction", 0.5),
         min_samples=int(params.get("min_samples", 8)),
         window=int(params.get("window", 64)),

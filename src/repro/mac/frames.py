@@ -36,7 +36,7 @@ class FrameKind(enum.Enum):
     ACK = "ack"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Frame:
     """One MAC frame.
 
@@ -72,6 +72,33 @@ class Frame:
     attempt: int = 0
     assigned_backoff: int = -1
     payload_bytes: int = 0
+
+    def __init__(
+        self,
+        kind: FrameKind,
+        src: int,
+        dst: int,
+        size_bytes: int,
+        duration_us: int,
+        seq: int = 0,
+        attempt: int = 0,
+        assigned_backoff: int = -1,
+        payload_bytes: int = 0,
+    ):
+        # Fills the instance dict directly: the dataclass-generated
+        # frozen __init__ goes through object.__setattr__ per field, at
+        # about twice the cost, and every transmission builds a frame.  Equality, hashing, repr, dataclasses.replace and
+        # frozenness still come from the dataclass machinery.
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["src"] = src
+        fields["dst"] = dst
+        fields["size_bytes"] = size_bytes
+        fields["duration_us"] = duration_us
+        fields["seq"] = seq
+        fields["attempt"] = attempt
+        fields["assigned_backoff"] = assigned_backoff
+        fields["payload_bytes"] = payload_bytes
 
 
 def rts_size(modified_protocol: bool) -> int:

@@ -20,11 +20,12 @@ offender where a back-channel exists (TCP), and skipped.  A peer that
 dies mid-line is not an error either: the reset is counted
 (``disconnects``) and the handler closes quietly.
 
-Ingest runs on many TCP handler threads at once, so every counter the
-service owns (``_ingested``, ``decode_errors``, ``disconnects``, the
-rate-sample deque) is guarded by one mutex — unlocked ``+=`` from
-concurrent threads loses updates, which silently skews
-``decode_errors`` and ``recent_obs_per_sec`` (regression-tested by a
+Ingest runs on many TCP handler threads at once.  The observation
+count lives in the store, exact under its shard locks, so a folded
+line takes no lock beyond its shard's.  The counters the service owns
+itself (``decode_errors``, ``disconnects``) and the rate-sample deque
+are guarded by one mutex — unlocked ``+=`` from concurrent threads
+loses updates, which silently skews them (regression-tested by a
 many-threads hammer in ``tests/test_service.py``).
 
 With a :class:`~repro.service.spool.FlagSpool` attached, every
@@ -56,8 +57,8 @@ from repro.service.store import (
 )
 from repro.service.verdicts import DEFAULT_VERDICT_CAP, VerdictLog
 
-#: Observations between throughput snapshots (one clock read each).
-_RATE_SAMPLE_EVERY = 4096
+#: ``stats()`` samples kept for ``recent_obs_per_sec``.
+_RATE_SAMPLES = 64
 
 
 class DetectionService:
@@ -110,11 +111,13 @@ class DetectionService:
         self.started = time.monotonic()
         self.decode_errors = 0
         self.disconnects = 0
-        self._ingested = 0
-        #: Guards every counter above plus the rate-sample deque.
+        #: Guards the two counters above plus the rate-sample deque.
         self._counter_lock = Lock()
-        #: ``(wall, total)`` snapshots for the recent-rate estimate.
-        self._rate_samples: Deque[Tuple[float, int]] = deque(maxlen=64)
+        #: ``(monotonic, store observations)`` taken by each
+        #: :meth:`stats` call, for the recent-rate estimate.
+        self._rate_samples: Deque[Tuple[float, int]] = deque(
+            maxlen=_RATE_SAMPLES
+        )
         self._rate_samples.append((self.started, 0))
 
     # ------------------------------------------------------------------
@@ -127,10 +130,6 @@ class DetectionService:
             self.verdicts.publish(event)
             if self.spool is not None:
                 self.spool.append(event)
-        with self._counter_lock:
-            self._ingested += 1
-            if self._ingested % _RATE_SAMPLE_EVERY == 0:
-                self._rate_samples.append((time.monotonic(), self._ingested))
         return verdict
 
     def ingest_line(self, line: str) -> bool:
@@ -151,16 +150,24 @@ class DetectionService:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """The ``/stats`` payload: rates, occupancy, counters."""
-        now = time.monotonic()
-        store = self.store.stats()
-        total = store["observations"]
-        uptime = max(now - self.started, 1e-9)
+        """The ``/stats`` payload: rates, occupancy, counters.
+
+        ``recent_obs_per_sec`` is the observation rate since the
+        oldest of the last 64 calls (since start-up until 64 calls
+        were made): each call samples the clock and the store's
+        observation total, so ingest itself never reads the clock.
+        """
         with self._counter_lock:
+            # Clock and store total are read under the lock, so the
+            # samples grow in both coordinates whatever threads poll.
+            now = time.monotonic()
+            store = self.store.stats()
+            total = store["observations"]
             decode_errors = self.decode_errors
             disconnects = self.disconnects
-            ingested = self._ingested
+            self._rate_samples.append((now, total))
             oldest_wall, oldest_total = self._rate_samples[0]
+        uptime = max(now - self.started, 1e-9)
         window = max(now - oldest_wall, 1e-9)
         return {
             "detector": self.detector_spec,
@@ -171,7 +178,7 @@ class DetectionService:
             "replayed_flags": self.replayed_flags,
             "obs_per_sec": round(total / uptime, 1),
             "recent_obs_per_sec": round(
-                (ingested - oldest_total) / window, 1
+                (total - oldest_total) / window, 1
             ),
             "store": store,
             "verdicts": self.verdicts.stats(),

@@ -22,8 +22,8 @@ flag/clear transitions, and its first flag; the store hands a
 service can publish first-flag notifications.  The transitions list is
 allocated lazily, on a sender's first transition: most senders are
 honest and never get one, and the store holds up to ``shards *
-max_entries`` entries, so a ``window`` entry is kept to three GC-tracked
-objects (the entry, its detector and the detector's window).
+max_entries`` entries, so a ``window`` entry is kept to two GC-tracked
+objects (the entry and its detector, which is its own window).
 """
 
 from __future__ import annotations

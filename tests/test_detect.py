@@ -169,8 +169,8 @@ class TestWindowAdapter:
     def test_thresh_setter_reaches_window(self):
         det = WindowDetector(window=5, thresh=20.0)
         det.thresh = 100.0
-        assert det.window.thresh == 100.0
         assert det.thresh == 100.0
+        assert det.observe(obs(50, 0)) is False  # judged against 100
 
     def test_reset(self):
         det = WindowDetector(window=3, thresh=5.0)
@@ -342,7 +342,7 @@ class TestRegistry:
 
     def test_defaults_come_from_config(self):
         det = make_detector("window", PAPER_CONFIG)
-        assert det.window.window == PAPER_CONFIG.window
+        assert det.window == PAPER_CONFIG.window
         assert det.thresh == PAPER_CONFIG.thresh
         cus = make_detector("cusum", PAPER_CONFIG)
         assert cus.norm == float(PAPER_CONFIG.cw_min)
@@ -351,7 +351,7 @@ class TestRegistry:
 
     def test_spec_overrides_config(self):
         det = make_detector("window:W=64,thresh=40", PAPER_CONFIG)
-        assert det.window.window == 64
+        assert det.window == 64
         assert det.thresh == 40.0
 
     def test_factory_returns_fresh_instances(self):
@@ -384,6 +384,15 @@ class TestRegistry:
         factory = detector_factory("window:W=0", PAPER_CONFIG)
         with pytest.raises(DetectorSpecError, match="window:W=0"):
             factory()
+
+    @pytest.mark.parametrize("spec", [
+        "window:W=nan", "window:W=inf", "estimator:min_samples=nan",
+    ])
+    def test_factory_unresolvable_value_raises_eagerly(self, spec):
+        """Arguments are resolved once, when the factory is made, so a
+        value that cannot even be resolved fails there."""
+        with pytest.raises(DetectorSpecError, match=spec):
+            detector_factory(spec, PAPER_CONFIG)
 
     @pytest.mark.parametrize("spec, direct", [
         ("window", lambda: WindowDetector(

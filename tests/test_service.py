@@ -49,7 +49,7 @@ from repro.service import (
     sender_of_line,
     shard_of,
 )
-from repro.service.codec import _decode_strict
+from repro.service.codec import _CANONICAL, _decode_strict
 from repro.service.store import FlagEvent
 
 
@@ -248,6 +248,34 @@ class TestCodec:
         else:
             assert outcome[0] == "error" and expected in outcome[1], outcome
 
+    @pytest.mark.parametrize("line, canonical", [
+        (wire_line(b_act="1" * 307), True),
+        (wire_line(b_act="1" * 308, b_exp="-" + "9" * 308), True),
+        (wire_line(b_act="1" * 309), False),
+        (wire_line(b_exp="-" + "1" * 309), False),
+        (wire_line(b_act="0." + "5" * 32), True),
+        (wire_line(b_act="0." + "5" * 33), False),
+        (wire_line(b_exp="-1." + "0" * 32), True),
+        (wire_line(b_exp="-1." + "0" * 33), False),
+        (wire_line(retries="9" * 18), True),
+        (wire_line(retries="9" * 19), False),
+        (wire_line(time_us="9" * 18), True),
+        (wire_line(time_us="9" * 19), False),
+        (wire_line(sender="s" * 256), True),
+        (wire_line(sender="s" * 257), False),
+        (wire_line(b_act="-0", b_exp="-0"), True),
+        (wire_line(b_act="-0.0"), True),
+        (wire_line(time_us="-0"), False),
+        (wire_line(retries="-0"), False),
+    ])
+    def test_canonical_form_bounds(self, line, canonical):
+        """Each bound of the canonical regex, from both sides: a line
+        just inside takes the fast path, a line just outside falls to
+        the strict path, and either way decode_record gives what
+        _decode_strict gives (the same record or the same error)."""
+        assert (_CANONICAL.fullmatch(line) is not None) is canonical
+        assert_decodes_like_strict(line)
+
     def test_integer_backoffs_decode_like_json(self):
         _, decoded = decode_record(wire_line(b_act="-0", b_exp="12"))
         assert decoded.b_act == 0.0 and math.copysign(1, decoded.b_act) == 1
@@ -423,8 +451,8 @@ class TestShardedDetectorStore:
         assert snapshot["shard"] == shard_of("cheat", 4)
 
     def test_resident_sender_footprint(self):
-        """A resident honest ``window`` sender costs at most 3
-        GC-tracked objects (entry, detector, window) and 600 bytes:
+        """A resident honest ``window`` sender costs at most 2
+        GC-tracked objects (entry, detector) and 550 bytes:
         the store holds up to ``shards * max_entries`` of them, and
         every full collection walks each tracked object."""
         senders = [f"sender-{i:05d}" for i in range(10_000)]
@@ -445,8 +473,8 @@ class TestShardedDetectorStore:
             tracemalloc.stop()
         tracked = len(gc.get_objects()) - tracked_before
         assert len(store) == len(senders)
-        assert tracked / len(senders) <= 3.0
-        assert held / len(senders) <= 600
+        assert tracked / len(senders) <= 2.0
+        assert held / len(senders) <= 550
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="shards"):
@@ -550,6 +578,35 @@ class TestDetectionService:
         assert stats["store"]["currently_flagged"] == 1
         assert stats["verdicts"]["flags"] == 1
 
+    def test_recent_rate_spans_the_last_64_stats_calls(self, monkeypatch):
+        """``recent_obs_per_sec`` is the rate since the oldest of the
+        last 64 ``stats()`` samples, while ``obs_per_sec`` averages
+        over the whole uptime."""
+        from repro.service import ingest as ingest_module
+
+        clock = [100.0]
+        monkeypatch.setattr(ingest_module.time, "monotonic",
+                            lambda: clock[0])
+        service = DetectionService(shards=2, max_entries=64)
+        for i in range(1_000):
+            service.ingest_observation(str(i % 40), obs(1.0, 1.0))
+        clock[0] = 110.0
+        first = service.stats()
+        assert first["observations"] == 1_000
+        assert first["recent_obs_per_sec"] == 100.0  # 1000 / 10 s
+        assert first["obs_per_sec"] == 100.0
+        for second in range(111, 174):  # 63 more idle samples: 64 kept
+            clock[0] = float(second)
+            assert service.stats()["observations"] == 1_000
+        for i in range(100):
+            service.ingest_observation(str(i % 40), obs(1.0, 1.0))
+        clock[0] = 175.0
+        stats = service.stats()
+        # The start-up sample and the t=110 one have left the window,
+        # so the oldest kept sample is (111 s, 1000 observations).
+        assert stats["recent_obs_per_sec"] == round(100 / 64, 1)
+        assert stats["obs_per_sec"] == round(1_100 / 75, 1)
+
     def test_ingest_stream_counts_rejects(self):
         service = DetectionService(shards=1, max_entries=8)
         lines = [
@@ -577,9 +634,11 @@ class TestDetectionService:
 
     def test_concurrent_counters_are_exact(self):
         """Counter updates from many ingest threads must not lose
-        increments: ``_ingested``/``decode_errors``/``disconnects``
-        are lock-guarded, and an unlocked ``+=`` would silently skew
-        them (this hammer fails reliably without the lock)."""
+        increments: the store's observation count (under its shard
+        locks) and ``decode_errors``/``disconnects`` (under the
+        service's counter lock) stay exact, where an unlocked ``+=``
+        would silently skew them (this hammer fails reliably without
+        the locks)."""
         service = DetectionService(shards=4, max_entries=1_000)
         threads_n, per_thread = 8, 2_000
         start_gate = threading.Barrier(threads_n)
@@ -607,7 +666,6 @@ class TestDetectionService:
         assert stats["observations"] == expected
         assert stats["decode_errors"] == expected
         assert stats["disconnects"] == expected
-        assert service._ingested == expected
 
     def test_gap_reported_when_cursor_precedes_retention(self):
         """A poller resuming from before the retained window must see

@@ -117,6 +117,10 @@ class TestIngestWorkerPool:
         assert len(stats["per_worker"]) == 3
         # Every observation landed on exactly one worker.
         assert sum(w["observations"] for w in stats["per_worker"]) == 300
+        # The pool's recent rate is the sum of its workers' rates.
+        recent = [w["recent_obs_per_sec"] for w in stats["per_worker"]]
+        assert all(rate > 0 for rate in recent)
+        assert stats["recent_obs_per_sec"] == round(sum(recent), 1)
 
     def test_malformed_line_raises_before_routing(self, pool3):
         with pytest.raises(WireError):
